@@ -18,13 +18,14 @@ the classification threshold strictly (0.9 by default).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import BadGridFile, NoCandidates, ShapeMismatch
+from .errors import BadGridFile, NoCandidates, NonFiniteScores, ShapeMismatch
 from .query import Query
 from .schema import LevelMode
 
@@ -66,20 +67,34 @@ def _span_of(query: Query, group: int, label: str, iq: int, jq: int) -> TypedSpa
                      surface=query.source[start:end])
 
 
+def _check_finite(z: np.ndarray) -> None:
+    # -inf is the mask value and stays legal; NaN compares false against
+    # every threshold and would decode silently as "no hit".
+    if np.isnan(z).any():
+        raise NonFiniteScores("score matrix holds NaN")
+
+
 def decode_ie(z: np.ndarray, query: Query, delta: float = 0.0) -> list[TypedSpan]:
     """All spans satisfying the three-cell linking rule, deduplicated and
-    sorted by (i, j, group, label)."""
+    sorted by (i, j, group, label).
+
+    Per type marker only the rows with a head hit and the columns with a
+    tail hit can hold a span, so the head-tail cells are searched on that
+    sub-grid alone."""
+    _check_finite(z)
     hit = (z >= delta) & query.scoring_mask
     t0 = query.text_start
     t1 = t0 + query.text_len
     head_tail = hit[t0:t1, t0:t1]
     spans = []
     for m in query.type_markers:
-        heads = hit[t0:t1, m.pos]
-        tails = hit[m.pos, t0:t1]
-        cand = head_tail & heads[:, None] & tails[None, :]
-        for a, b in zip(*np.nonzero(cand)):
-            spans.append(_span_of(query, m.group, m.label, t0 + int(a), t0 + int(b)))
+        rows = np.flatnonzero(hit[t0:t1, m.pos])
+        cols = np.flatnonzero(hit[m.pos, t0:t1])
+        if rows.size == 0 or cols.size == 0:
+            continue
+        a, b = np.nonzero(head_tail[np.ix_(rows, cols)])
+        for i, j in zip(rows[a].tolist(), cols[b].tolist()):
+            spans.append(_span_of(query, m.group, m.label, t0 + i, t0 + j))
     spans.sort(key=lambda s: (s.i, s.j, s.group, s.label))
     return spans
 
@@ -106,6 +121,7 @@ def cls_products(z: np.ndarray, query: Query) -> list[tuple[int, str, float]]:
     This is the quantity single-label ensembles multiply across sub-queries."""
     if query.clst_pos is None:
         raise NoCandidates("query was not built in a classification mode")
+    _check_finite(z)
     j = query.clst_pos
     return [
         (m.group, m.label, float(expit(z[j, m.pos])) * float(expit(z[m.pos, j])))
@@ -129,6 +145,7 @@ def decode_cls_single(z: np.ndarray, query: Query) -> tuple[ClsDecision, ...]:
     Exact ties resolve to the lowest candidate index."""
     if query.mode is LevelMode.EXTRACT or query.clst_pos is None:
         raise NoCandidates("query was not built in a classification mode")
+    _check_finite(z)
     decisions = []
     for g in range(len(query.groups)):
         markers, probs = _pair_products(z, query, g)
@@ -143,6 +160,7 @@ def decode_cls_multi(z: np.ndarray, query: Query,
     The label set may legitimately be empty."""
     if query.mode is LevelMode.EXTRACT or query.clst_pos is None:
         raise NoCandidates("query was not built in a classification mode")
+    _check_finite(z)
     j = query.clst_pos
     decisions = []
     for g in range(len(query.groups)):
@@ -172,8 +190,11 @@ def save_grids(path, matrices) -> None:
 
 
 def load_grids(path) -> list[np.ndarray]:
+    """Read every matrix of a grid file.  A header whose body would run past
+    the end of the file raises ``BadGridFile`` before anything is read."""
     matrices = []
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         while True:
             head = fh.read(8)
             if not head:
@@ -181,8 +202,11 @@ def load_grids(path) -> list[np.ndarray]:
             if len(head) != 8:
                 raise BadGridFile("truncated grid header")
             rows, cols = struct.unpack("<II", head)
-            buf = fh.read(4 * rows * cols)
-            if len(buf) != 4 * rows * cols:
+            nbytes = 4 * rows * cols
+            if nbytes > size - fh.tell():
+                raise BadGridFile(f"truncated grid body ({rows}x{cols})")
+            buf = fh.read(nbytes)
+            if len(buf) != nbytes:
                 raise BadGridFile(f"truncated grid body ({rows}x{cols})")
             matrices.append(
                 np.frombuffer(buf, dtype="<f4").reshape(rows, cols).astype(np.float32)

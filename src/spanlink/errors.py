@@ -120,6 +120,10 @@ class BadGridFile(DecodeError):
     """Score-matrix grid file is truncated or malformed."""
 
 
+class NonFiniteScores(DecodeError):
+    """A score matrix holds NaN (-inf is legal: it is the mask value)."""
+
+
 # ---------------------------------------------------------------- engine ---
 
 class EngineError(SpanlinkError):

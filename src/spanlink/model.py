@@ -15,14 +15,18 @@ dimension d'.  Cells outside the scoring mask are forced to -inf rather than
 zero so that the decoding threshold (0 for extraction) can never confuse
 "masked" with "score exactly at the boundary".
 
-Everything is plain numpy with hand-written reverse-mode backprop; training
-runs in float32 and gradient checking switches the whole stack to float64 via
-``EncoderConfig.dtype``.
+Everything is plain numpy with hand-written reverse-mode backprop.  All
+computation -- ``encode``, ``score``, the circle-loss gradient and both
+backward passes -- runs in ``EncoderConfig.dtype``: float32 by default, float64
+only for gradient checks.  Constants that meet arrays are Python floats, which
+NumPy's promotion rules never let widen an array.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -39,8 +43,8 @@ from .query import Query
 
 ROPE_BASE = 10000.0
 LN_EPS = 1e-5
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _CHECKPOINT_MAGIC = b"SPLKCKPT"
 
@@ -61,10 +65,11 @@ class EncoderConfig:
         return np.float64 if self.dtype == "float64" else np.float32
 
     def validate(self) -> None:
+        if min(self.vocab_size, self.d, self.heads, self.max_positions,
+               self.ffn_mult) < 1:
+            raise DimensionMismatch("encoder dimensions must be positive")
         if self.d % self.heads != 0:
             raise DimensionMismatch(f"d={self.d} not divisible by heads={self.heads}")
-        if min(self.vocab_size, self.d, self.heads, self.max_positions) < 1:
-            raise DimensionMismatch("encoder dimensions must be positive")
         if self.layers < 0:
             raise DimensionMismatch("layers must be >= 0")
 
@@ -82,35 +87,54 @@ class ScoringHead:
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
-    config.validate()
-    dt = config.np_dtype
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every encoder tensor, in initialization order."""
     d, m = config.d, config.ffn_mult * config.d
-
-    def w(*shape):
-        return rng.normal(0.0, 0.02, size=shape).astype(dt)
-
-    p: dict[str, np.ndarray] = {
-        "tok_emb": w(config.vocab_size, d),
-        "pos_emb": w(config.max_positions, d),
-        "type_emb": w(4, d),
+    shapes = {
+        "tok_emb": (config.vocab_size, d),
+        "pos_emb": (config.max_positions, d),
+        "type_emb": (4, d),
     }
     for i in range(config.layers):
-        p[f"l{i}.ln1.g"] = np.ones(d, dtype=dt)
-        p[f"l{i}.ln1.b"] = np.zeros(d, dtype=dt)
-        for name in ("wq", "wk", "wv", "wo"):
-            p[f"l{i}.attn.{name}"] = w(d, d)
-            p[f"l{i}.attn.{name.replace('w', 'b')}"] = np.zeros(d, dtype=dt)
-        p[f"l{i}.ln2.g"] = np.ones(d, dtype=dt)
-        p[f"l{i}.ln2.b"] = np.zeros(d, dtype=dt)
-        p[f"l{i}.ffn.w1"] = w(d, m)
-        p[f"l{i}.ffn.b1"] = np.zeros(m, dtype=dt)
-        p[f"l{i}.ffn.w2"] = w(m, d)
-        p[f"l{i}.ffn.b2"] = np.zeros(d, dtype=dt)
+        shapes[f"l{i}.ln1.g"] = shapes[f"l{i}.ln1.b"] = (d,)
+        for name in ("q", "k", "v", "o"):
+            shapes[f"l{i}.attn.w{name}"] = (d, d)
+            shapes[f"l{i}.attn.b{name}"] = (d,)
+        shapes[f"l{i}.ln2.g"] = shapes[f"l{i}.ln2.b"] = (d,)
+        shapes[f"l{i}.ffn.w1"] = (d, m)
+        shapes[f"l{i}.ffn.b1"] = (m,)
+        shapes[f"l{i}.ffn.w2"] = (m, d)
+        shapes[f"l{i}.ffn.b2"] = (d,)
     if config.final_norm:
-        p["lnf.g"] = np.ones(d, dtype=dt)
-        p["lnf.b"] = np.zeros(d, dtype=dt)
-    return EncoderParams(config=config, params=p)
+        shapes["lnf.g"] = shapes["lnf.b"] = (d,)
+    return shapes
+
+
+def head_shapes(d_in: int, d_head: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every scoring-head tensor, in initialization order."""
+    return {"q.w": (d_in, d_head), "q.b": (d_head,),
+            "k.w": (d_in, d_head), "k.b": (d_head,)}
+
+
+def _init_params(shapes, rng: np.random.Generator, dt) -> dict[str, np.ndarray]:
+    # LayerNorm gains start at one, biases at zero, and every weight matrix
+    # and embedding table at N(0, 0.02), drawn in table order.
+    params = {}
+    for name, shape in shapes.items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "g":
+            params[name] = np.ones(shape, dtype=dt)
+        elif leaf.startswith("b"):
+            params[name] = np.zeros(shape, dtype=dt)
+        else:
+            params[name] = rng.normal(0.0, 0.02, size=shape).astype(dt)
+    return params
+
+
+def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
+    config.validate()
+    return EncoderParams(config=config, params=_init_params(
+        param_shapes(config), rng, config.np_dtype))
 
 
 def init_head(d_in: int, d_head: int, rng: np.random.Generator,
@@ -118,12 +142,8 @@ def init_head(d_in: int, d_head: int, rng: np.random.Generator,
     if d_head % 2 != 0 or d_head < 2:
         raise OddHeadDim(f"scoring head dimension must be even, got {d_head}")
     dt = np.float64 if dtype == "float64" else np.float32
-    return ScoringHead(d_in=d_in, d_head=d_head, params={
-        "q.w": rng.normal(0.0, 0.02, size=(d_in, d_head)).astype(dt),
-        "q.b": np.zeros(d_head, dtype=dt),
-        "k.w": rng.normal(0.0, 0.02, size=(d_in, d_head)).astype(dt),
-        "k.b": np.zeros(d_head, dtype=dt),
-    })
+    return ScoringHead(d_in=d_in, d_head=d_head,
+                       params=_init_params(head_shapes(d_in, d_head), rng, dt))
 
 
 # ----------------------------------------------------------- primitives ---
@@ -158,10 +178,14 @@ def _gelu_bwd(dy, cache):
     return dy * (phi + x * pdf)
 
 
-def _softmax_rows(s):
-    m = s.max(axis=-1, keepdims=True)
-    e = np.exp(s - m)
-    return e / e.sum(axis=-1, keepdims=True)
+def _masked_softmax_inplace(s, scale: float, bias):
+    """Row softmax of ``s * scale + bias``, computed in place in ``s``."""
+    s *= scale
+    s += bias
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 # -------------------------------------------------------------- encoder ---
@@ -190,13 +214,14 @@ def encode(enc: EncoderParams, query: Query, want_cache: bool = False):
     p = enc.params
     n, d, H = len(query), cfg.d, cfg.heads
     dh = d // H
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)
 
     x = (p["tok_emb"][query.token_ids]
          + p["pos_emb"][query.position_ids]
          + p["type_emb"][query.token_type_ids])
-    mask = query.attention_mask
-    neg_inf = np.array(-np.inf, dtype=x.dtype)
+    # The isolation mask as an additive bias that every layer and head
+    # shares: 0 where attention is allowed, -inf where it is not.
+    bias = np.where(query.attention_mask, 0.0, -np.inf).astype(x.dtype)
 
     layer_caches = []
     for i in range(cfg.layers):
@@ -207,8 +232,7 @@ def encode(enc: EncoderParams, query: Query, want_cache: bool = False):
         q3 = q.reshape(n, H, dh).transpose(1, 0, 2)
         k3 = k.reshape(n, H, dh).transpose(1, 0, 2)
         v3 = v.reshape(n, H, dh).transpose(1, 0, 2)
-        s = np.where(mask, (q3 @ k3.transpose(0, 2, 1)) * scale, neg_inf)
-        attn = _softmax_rows(s)
+        attn = _masked_softmax_inplace(q3 @ k3.transpose(0, 2, 1), scale, bias)
         ctx = (attn @ v3).transpose(1, 0, 2).reshape(n, d)
         o = ctx @ p[f"l{i}.attn.wo"] + p[f"l{i}.attn.bo"]
         x1 = x + o
@@ -503,43 +527,85 @@ def save_checkpoint(path, enc: EncoderParams, head: ScoringHead) -> None:
             fh.write(np.ascontiguousarray(tensors[name], dtype="<f4").tobytes())
 
 
+_ENCODER_DIMS = ("vocab_size", "d", "layers", "heads", "max_positions",
+                 "ffn_mult")
+
+
+def _dims_from_header(header) -> tuple[EncoderConfig, int, int]:
+    """Encoder config and head dims declared by a checkpoint header, each
+    checked for type and range before anything is sized from it."""
+    if not isinstance(header, dict):
+        raise CheckpointMismatch("header is not a JSON object")
+    if header.get("format") != 1:
+        raise CheckpointMismatch(f"unsupported format {header.get('format')!r}")
+    enc = header.get("encoder")
+    head = header.get("head")
+    if not isinstance(enc, dict) or set(enc) != {*_ENCODER_DIMS, "final_norm"}:
+        raise CheckpointMismatch("header has no valid encoder section")
+    if not isinstance(head, dict) or set(head) != {"d_in", "d_head"}:
+        raise CheckpointMismatch("header has no valid head section")
+    dims = [enc[k] for k in _ENCODER_DIMS] + [head["d_in"], head["d_head"]]
+    if (any(type(v) is not int or v < 0 for v in dims)
+            or type(enc["final_norm"]) is not bool):
+        raise CheckpointMismatch("header dims must be non-negative integers")
+    config = EncoderConfig(**enc)
+    try:
+        config.validate()
+    except DimensionMismatch as exc:
+        raise CheckpointMismatch(f"bad encoder dims: {exc}") from None
+    if head["d_in"] != config.d or head["d_head"] < 2 or head["d_head"] % 2:
+        raise CheckpointMismatch(
+            f"bad head dims d_in={head['d_in']} d_head={head['d_head']}")
+    return config, head["d_in"], head["d_head"]
+
+
 def load_checkpoint(path) -> tuple[EncoderParams, ScoringHead]:
+    """Read a checkpoint written by ``save_checkpoint``.  Any file that is
+    not one -- truncated, forged, or with trailing bytes -- raises
+    ``CheckpointMismatch`` before its declared sizes are trusted."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
         if magic != _CHECKPOINT_MAGIC:
             raise CheckpointMismatch(f"bad magic bytes {magic!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
+        raw = fh.read(4)
+        if len(raw) != 4:
+            raise CheckpointMismatch("truncated header length")
+        (hlen,) = struct.unpack("<I", raw)
+        if hlen > size - fh.tell():
+            raise CheckpointMismatch(f"header length {hlen} exceeds the file")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
             raise CheckpointMismatch(f"unreadable header: {exc}") from None
-        if header.get("format") != 1:
-            raise CheckpointMismatch(f"unsupported format {header.get('format')!r}")
-        config = EncoderConfig(**header["encoder"])
+        config, d_in, d_head = _dims_from_header(header)
+
+        # The manifest must list exactly the tensors of the declared dims, in
+        # the order save_checkpoint writes them.  Every layer has tensors, so
+        # a layer count above the manifest's length is rejected before it
+        # can size the shape table.
+        manifest = header.get("tensors")
+        if not isinstance(manifest, list) or config.layers > len(manifest):
+            raise CheckpointMismatch("tensor manifest does not match declared dims")
+        enc_shapes = param_shapes(config)
+        shapes = [(f"enc.{k}", enc_shapes[k]) for k in sorted(enc_shapes)]
+        hd_shapes = head_shapes(d_in, d_head)
+        shapes += [(f"head.{k}", hd_shapes[k]) for k in sorted(hd_shapes)]
+        if manifest != [[name, list(shape)] for name, shape in shapes]:
+            raise CheckpointMismatch("tensor manifest does not match declared dims")
+        body = 4 * sum(math.prod(shape) for _, shape in shapes)
+        if body != size - fh.tell():
+            raise CheckpointMismatch(
+                f"tensor data is {size - fh.tell()} bytes, manifest needs {body}")
+
         enc = EncoderParams(config=config)
-        head = ScoringHead(d_in=header["head"]["d_in"],
-                           d_head=header["head"]["d_head"])
-        for name, shape in header["tensors"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(4 * count)
-            if len(buf) != 4 * count:
+        head = ScoringHead(d_in=d_in, d_head=d_head)
+        for name, shape in shapes:
+            nbytes = 4 * math.prod(shape)
+            buf = fh.read(nbytes)
+            if len(buf) != nbytes:
                 raise CheckpointMismatch(f"tensor {name} truncated")
             arr = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float32)
-            if name.startswith("enc."):
-                enc.params[name[4:]] = arr
-            elif name.startswith("head."):
-                head.params[name[5:]] = arr
-            else:
-                raise CheckpointMismatch(f"unknown tensor namespace in {name!r}")
-
-    # Structural check: the tensors must exactly cover a fresh model of the
-    # declared dimensions.
-    expected = init_encoder(config, np.random.default_rng(0)).params
-    if set(expected) != set(enc.params) or any(
-            expected[k].shape != enc.params[k].shape for k in expected):
-        raise CheckpointMismatch("encoder tensors do not match declared dims")
-    expected_head = init_head(head.d_in, head.d_head, np.random.default_rng(0)).params
-    if set(expected_head) != set(head.params) or any(
-            expected_head[k].shape != head.params[k].shape for k in expected_head):
-        raise CheckpointMismatch("head tensors do not match declared dims")
+            space, key = name.split(".", 1)
+            (enc.params if space == "enc" else head.params)[key] = arr
     return enc, head

@@ -151,6 +151,29 @@ def test_extract_oracle_scores_replays_stored_matrices(trained, tmp_path):
         engine.extraction_record(text, expected)
 
 
+def test_extract_oracle_scores_with_nan_is_a_one_line_error(trained, tmp_path,
+                                                           capsys):
+    root = trained
+    text = "tanaka works for initech ."
+    gold = ((engine.PathElement("organization", 17, 24, "initech"),),)
+    cfg = load_config(root / "run.cfg")
+    validate_config(cfg)
+    recorder = engine.RecordingScorer(engine.GoldScorer(gold))
+    engine.extract(parse_schema(NER_RE_SCHEMA),
+                   load_vocab(root / "model.ckpt.vocab"), recorder, text, cfg)
+    recorder.matrices[0][0, 0] = float("nan")
+    grids = tmp_path / "scores.grid"
+    save_grids(grids, recorder.matrices)
+    capsys.readouterr()
+    rc = main(["extract", "--config", str(root / "run.cfg"),
+               "--text", text, "--oracle-scores", str(grids),
+               "--out", str(tmp_path / "out.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("decode.NonFiniteScores: ")
+
+
 def test_extract_dump_queries_prints_renderings(trained, tmp_path, capsys):
     root = trained
     out = tmp_path / "out.jsonl"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.special import expit, logit
 
 from conftest import flat_vocab, query_of, random_ie_case
@@ -14,7 +15,12 @@ from spanlink.decoding import (
     save_grids,
     threshold,
 )
-from spanlink.errors import BadGridFile, NoCandidates
+from spanlink.errors import (
+    BadGridFile,
+    NoCandidates,
+    NonFiniteScores,
+    SpanlinkError,
+)
 from spanlink.query import PrefixGroup
 from spanlink.schema import LevelMode
 
@@ -56,6 +62,53 @@ def test_decode_matches_oracle_randomized():
         z = _rand_scores(rng, q)
         delta = float(rng.choice([-1.0, 0.0, 1.0]))
         assert decode_ie(z, q, delta) == oracle_decode(z, q, delta)
+
+
+@st.composite
+def _sparse_ie_case(draw):
+    """A query with up to three groups and a score matrix whose valid cells
+    all sit below delta except a few drawn hits.  Each draw picks a span
+    (i, j) and a [T] marker k and lights some of its three cells (head-tail,
+    head-[T], [T]-tail) at delta exactly or above it, so markers with no
+    head hit or no tail hit and single hit cells all occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    text, groups, _ = random_ie_case(rng, max_groups=3)
+    q = query_of(flat_vocab(), text, groups, max_prompt_len=64, max_len=128)
+    delta = draw(st.sampled_from([-1.0, 0.0, 0.5]))
+    z = np.where(q.scoring_mask, delta - 1.0, -np.inf)
+    text_pos = st.integers(q.text_start, q.text_start + q.text_len - 1)
+    marker_pos = st.sampled_from([m.pos for m in q.type_markers])
+    lit = st.sets(st.sampled_from(range(3)), min_size=1)
+    for i, j, k, cells in draw(st.lists(
+            st.tuples(text_pos, text_pos, marker_pos, lit), max_size=8)):
+        for c in cells:
+            r, col = ((i, j), (i, k), (k, j))[c]
+            if q.scoring_mask[r, col]:
+                z[r, col] = draw(st.sampled_from([delta, delta + 1.0]))
+    return q, z, delta
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_sparse_ie_case())
+def test_decode_matches_oracle_on_sparse_hits(case):
+    q, z, delta = case
+    assert decode_ie(z, q, delta) == oracle_decode(z, q, delta)
+
+
+def test_decode_single_hit_triplet_at_delta():
+    # one head-tail cell plus its two marker cells, all exactly at delta:
+    # the comparison is inclusive, so the span is emitted
+    vocab = flat_vocab()
+    q = query_of(vocab, "ant bee cat", [PrefixGroup((), ("alpha", "beta"))])
+    m = q.marker_at(0, "beta").pos
+    t = q.text_start
+    z = np.where(q.scoring_mask, -1.0, -np.inf)
+    z[t + 1, t + 2] = z[t + 1, m] = z[m, t + 2] = 0.25
+    spans = decode_ie(z, q, 0.25)
+    assert [(s.label, s.surface) for s in spans] == [("beta", "bee cat")]
+    assert spans == oracle_decode(z, q, 0.25)
+    assert decode_ie(z, q, np.nextafter(0.25, 1.0)) == []
 
 
 def test_decode_requires_all_three_links():
@@ -206,6 +259,33 @@ def test_cls_multi_matches_set_builder_oracle():
         assert decode_cls_multi(z, q)[0].labels == want
 
 
+@pytest.mark.parametrize("decoder", [
+    decode_cls_single, cls_products,
+    lambda z, q: decode_cls_multi(z, q, 0.9),
+])
+def test_cls_decoders_reject_nan(decoder):
+    vocab = flat_vocab()
+    q = _cls_query(vocab)
+    with pytest.raises(NonFiniteScores):
+        decoder(np.full((len(q), len(q)), np.nan), q)
+    z = np.where(q.scoring_mask, 0.0, -np.inf)
+    decoder(z, q)  # -inf is the mask value and stays legal
+    z[q.clst_pos, q.type_markers[0].pos] = np.nan
+    with pytest.raises(NonFiniteScores):
+        decoder(z, q)
+
+
+def test_decode_ie_rejects_nan():
+    vocab = flat_vocab()
+    q = query_of(vocab, "ant bee", [PrefixGroup((), ("alpha",))])
+    z = np.where(q.scoring_mask, 0.0, -np.inf)
+    assert decode_ie(z, q) != []
+    z[q.text_start, q.text_start] = np.nan
+    with pytest.raises(NonFiniteScores) as info:
+        decode_ie(z, q)
+    assert info.value.code == "decode.NonFiniteScores"
+
+
 # ------------------------------------------------------------- grid files
 
 def test_grids_round_trip(tmp_path):
@@ -232,3 +312,40 @@ def test_grids_reject_truncation(tmp_path):
     path.write_bytes(blob[:4])
     with pytest.raises(BadGridFile):
         load_grids(path)
+
+
+def test_grids_reject_header_larger_than_file(tmp_path):
+    # a forged 100000 x 100000 header would ask for a 40 GB read
+    path = tmp_path / "scores.grid"
+    save_grids(path, [np.zeros((2, 2), dtype=np.float32)])
+    path.write_bytes(path.read_bytes()
+                     + np.array([100000, 100000], dtype="<u4").tobytes()
+                     + b"\x00" * 64)
+    with pytest.raises(BadGridFile):
+        load_grids(path)
+
+
+def _grid_blob(tmp_path):
+    path = tmp_path / "clean.grid"
+    save_grids(path, [np.arange(6, dtype=np.float32).reshape(2, 3),
+                      np.full((3, 3), -np.inf, dtype=np.float32)])
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 255)),
+                      max_size=6),
+       cut=st.integers(0, 80), tail=st.binary(max_size=16))
+def test_mutated_grid_file_loads_or_raises_spanlink_error(tmp_path, edits,
+                                                          cut, tail):
+    blob = bytearray(_grid_blob(tmp_path))
+    for pos, byte in edits:
+        if pos < len(blob):
+            blob[pos] = byte
+    path = tmp_path / "mutated.grid"
+    path.write_bytes(bytes(blob[:cut]) + tail)
+    try:
+        load_grids(path)
+    except SpanlinkError:
+        pass

@@ -1,7 +1,10 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import flat_vocab, query_of, random_ie_case
 from spanlink.errors import (
@@ -9,6 +12,7 @@ from spanlink.errors import (
     DimensionMismatch,
     OddHeadDim,
     ShapeMismatch,
+    SpanlinkError,
 )
 from spanlink.model import (
     EncoderConfig,
@@ -25,6 +29,7 @@ from spanlink.model import (
     save_checkpoint,
     score,
 )
+from spanlink.optim import AdamW
 from spanlink.query import PrefixGroup, build_target
 
 
@@ -292,6 +297,30 @@ def test_backward_gradient_accumulation_is_linear():
         assert np.allclose(v, 2 * gh1[k])
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_everything_runs_in_config_dtype(dtype):
+    rng = np.random.default_rng(15)
+    vocab, enc, head = _setup(rng, layers=2, dtype=dtype)
+    q, gold = _rand_query(rng, vocab)
+    target = build_target(q, gold)
+    want = np.dtype(dtype)
+    hidden = encode(enc, q)
+    z = score(head, hidden, q)
+    assert hidden.dtype == want and z.dtype == want
+    _, d_z = circle_loss_grad(z, target, q.scoring_mask)
+    assert d_z.dtype == want
+    _, enc_grads, head_grads = backward(enc, head, q, target)
+    assert set(enc_grads) == set(enc.params)
+    assert set(head_grads) == set(head.params)
+    for name, g in {**enc_grads, **head_grads}.items():
+        assert g.dtype == want, name
+    opt = AdamW(lr=1e-3)
+    opt.step(enc.params, enc_grads)
+    opt.step(head.params, head_grads)
+    for name, p in {**enc.params, **head.params}.items():
+        assert p.dtype == want, name
+
+
 # -------------------------------------------------------------- checkpoint
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -324,3 +353,81 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(blob[:len(blob) - 7])
     with pytest.raises(CheckpointMismatch):
         load_checkpoint(path)
+
+
+def _tiny_checkpoint(path):
+    cfg = EncoderConfig(vocab_size=5, d=2, layers=1, heads=1, max_positions=3)
+    rng = np.random.default_rng(17)
+    save_checkpoint(path, init_encoder(cfg, rng), init_head(2, 2, rng))
+    return path.read_bytes()
+
+
+def _with_header(blob, edit):
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:]
+
+
+def _forge_shape(header):
+    header["tensors"][0][1] = ["5", 2.5]
+
+
+@pytest.mark.parametrize("forge", [
+    lambda blob: blob[:10],                                  # 2-byte length
+    lambda blob: blob[:8] + struct.pack("<I", 10**6) + blob[12:],
+    lambda blob: _with_header(blob, lambda h: h.pop("encoder")),
+    lambda blob: _with_header(blob, lambda h: h.pop("tensors")),
+    lambda blob: _with_header(blob, _forge_shape),
+    lambda blob: _with_header(blob, lambda h: h["encoder"].update(heads=0)),
+    lambda blob: _with_header(blob, lambda h: h["encoder"].update(d="2")),
+    lambda blob: _with_header(blob, lambda h: h["encoder"].update(
+        layers=10**9)),
+    lambda blob: _with_header(blob, lambda h: h["head"].update(d_head=3)),
+    lambda blob: b"SPLKCKPT" + struct.pack("<I", 2) + b"[]",
+    lambda blob: blob + b"\x00" * 4,                         # trailing data
+])
+def test_checkpoint_rejects_forged_headers(tmp_path, forge):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(forge(_tiny_checkpoint(path)))
+    with pytest.raises(CheckpointMismatch):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_body_larger_than_file(tmp_path):
+    # declared dims whose tensors would need ~40 GB: rejected by size alone
+    path = tmp_path / "model.ckpt"
+    blob = _tiny_checkpoint(path)
+
+    def grow(header):
+        header["encoder"]["vocab_size"] = 5 * 10**9
+        header["tensors"] = [
+            [name, [5 * 10**9, 2] if name == "enc.tok_emb" else shape]
+            for name, shape in header["tensors"]]
+
+    path.write_bytes(_with_header(blob, grow))
+    with pytest.raises(CheckpointMismatch):
+        load_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                      max_size=6),
+       cut=st.one_of(st.none(), st.integers(0, 2**16)),
+       tail=st.binary(max_size=8))
+def test_mutated_checkpoint_loads_or_raises_spanlink_error(tmp_path, edits,
+                                                           cut, tail):
+    path = tmp_path / "model.ckpt"
+    blob = bytearray(_tiny_checkpoint(path))
+    for pos, byte in edits:
+        # most edits land in the magic, length and JSON header
+        blob[pos % min(len(blob), 600)] = byte
+    if cut is not None:
+        blob = blob[:cut % (len(blob) + 1)]
+    path.write_bytes(bytes(blob) + tail)
+    try:
+        load_checkpoint(path)
+    except SpanlinkError:
+        pass
