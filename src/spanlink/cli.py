@@ -161,18 +161,19 @@ def cmd_extract(cfg: Config, texts, oracle_path: str | None,
         scorer = recorder
     sink = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
     try:
-        if cfg.jobs > 1 and not dump_queries and not oracle_path:
-            for text, paths in zip(texts, engine.extract_many(
-                    texts, schema, vocab, scorer, cfg)):
-                sink.write(engine.extraction_record(text, paths) + "\n")
-        else:
-            # grid scorers consume matrices in query order, so stay serial
+        if dump_queries or oracle_path:
+            # per text: grid scorers consume matrices in query order, and
+            # each text's queries are printed before its record
             for text in texts:
                 paths = engine.extract(schema, vocab, scorer, text, cfg)
                 if dump_queries:
                     for query in recorder.queries:
                         print(render_query(query))
                     recorder.queries.clear()
+                sink.write(engine.extraction_record(text, paths) + "\n")
+        else:
+            for text, paths in zip(texts, engine.extract_many(
+                    texts, schema, vocab, scorer, cfg)):
                 sink.write(engine.extraction_record(text, paths) + "\n")
     finally:
         if out_path:
@@ -248,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print every query as it is scored")
     p_ext.add_argument("--out", default=None,
                        help="write extraction records here instead of stdout")
-    p_ext.add_argument("--jobs", type=int, default=None,
-                       help="worker threads for multi-text extraction")
 
     p_dump = sub.add_parser("dump-queries",
                             help="render teacher-forced queries from gold data")
@@ -265,8 +264,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         apply_overrides(cfg, args.set)
-        if getattr(args, "jobs", None):
-            cfg.jobs = args.jobs
         validate_config(cfg)
         if args.command == "train":
             return cmd_train(cfg)

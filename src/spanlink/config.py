@@ -41,7 +41,6 @@ class Config:
     # task shape
     level_modes: str = ""      # comma list of extract|cls_single|cls_multi
     eval_tasks: str = "entity"  # comma list of metric task names
-    jobs: int = 1
     # paths
     schema: str = ""
     data: str = ""
@@ -108,8 +107,8 @@ def validate_config(cfg: Config) -> None:
         raise BadConfig("max_prompt_len must be smaller than max_len")
     if not 0.0 <= cfg.delta_cls <= 1.0:
         raise BadConfig("delta_cls must lie in [0, 1]")
-    if min(cfg.d, cfg.d_head, cfg.heads, cfg.max_depth, cfg.jobs) < 1:
-        raise BadConfig("dimensions and worker counts must be positive")
+    if min(cfg.d, cfg.d_head, cfg.heads, cfg.max_depth) < 1:
+        raise BadConfig("dimensions and depth limits must be positive")
     if cfg.d_head % 2 != 0:
         raise BadConfig("d_head must be even for rotary scoring")
     if cfg.layers < 0 or cfg.epochs < 0:

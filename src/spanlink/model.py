@@ -168,7 +168,9 @@ def _layernorm_bwd(dy, cache):
 
 
 def _gelu(x):
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    phi = erf(x * _INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
     return x * phi, (x, phi)
 
 
@@ -207,33 +209,56 @@ def _check_query(config: EncoderConfig, query: Query) -> None:
         raise DimensionMismatch("token type id exceeds table size 4")
 
 
-def encode(enc: EncoderParams, query: Query, want_cache: bool = False):
-    """Hidden states [n, d] for one query, honoring its isolation mask."""
+def encode_batch(enc: EncoderParams, queries, want_cache: bool = False):
+    """Hidden states [B, n_max, d] for B queries in one padded pass.
+
+    Row b holds query b in its first ``len(queries[b])`` slots; the rest are
+    [PAD] slots with position and type id 0.  Every row's isolation mask
+    becomes an additive bias (0 where attention is allowed, -inf where it is
+    not, and -inf at every padded key) that all layers and heads share, so a
+    query's hidden states do not depend on what else is in the batch.  Each
+    padded slot attends to key 0 only, which keeps its softmax finite; its
+    outputs are meaningless and callers drop them.
+    """
     cfg = enc.config
-    _check_query(cfg, query)
+    for query in queries:
+        _check_query(cfg, query)
     p = enc.params
-    n, d, H = len(query), cfg.d, cfg.heads
+    B, n = len(queries), max(len(q) for q in queries)
+    d, H = cfg.d, cfg.heads
     dh = d // H
     scale = 1.0 / math.sqrt(dh)
+    dt = p["tok_emb"].dtype
 
-    x = (p["tok_emb"][query.token_ids]
-         + p["pos_emb"][query.position_ids]
-         + p["type_emb"][query.token_type_ids])
-    # The isolation mask as an additive bias that every layer and head
-    # shares: 0 where attention is allowed, -inf where it is not.
-    bias = np.where(query.attention_mask, 0.0, -np.inf).astype(x.dtype)
+    # Token, position and type ids; padded slots keep 0 in all three, and
+    # token id 0 is [PAD] in every vocabulary.
+    ids = np.zeros((3, B, n), dtype=np.int64)
+    bias = np.full((B, n, n), -np.inf, dtype=dt)
+    for b, query in enumerate(queries):
+        m = len(query)
+        ids[0, b, :m] = query.token_ids
+        ids[1, b, :m] = query.position_ids
+        ids[2, b, :m] = query.token_type_ids
+        bias[b, :m, :m][query.attention_mask] = 0.0
+        bias[b, m:, 0] = 0.0
+    bias = bias[:, None]
+
+    # Token rows stay flat, [B * n, d], so every projection is one matmul;
+    # only attention sees the batch axis.
+    x = (p["tok_emb"][ids[0]] + p["pos_emb"][ids[1]]
+         + p["type_emb"][ids[2]]).reshape(B * n, d)
+
+    def heads(t):
+        return t.reshape(B, n, H, dh).transpose(0, 2, 1, 3)
 
     layer_caches = []
     for i in range(cfg.layers):
         a, ln1c = _layernorm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
-        q = a @ p[f"l{i}.attn.wq"] + p[f"l{i}.attn.bq"]
-        k = a @ p[f"l{i}.attn.wk"] + p[f"l{i}.attn.bk"]
-        v = a @ p[f"l{i}.attn.wv"] + p[f"l{i}.attn.bv"]
-        q3 = q.reshape(n, H, dh).transpose(1, 0, 2)
-        k3 = k.reshape(n, H, dh).transpose(1, 0, 2)
-        v3 = v.reshape(n, H, dh).transpose(1, 0, 2)
-        attn = _masked_softmax_inplace(q3 @ k3.transpose(0, 2, 1), scale, bias)
-        ctx = (attn @ v3).transpose(1, 0, 2).reshape(n, d)
+        q4 = heads(a @ p[f"l{i}.attn.wq"] + p[f"l{i}.attn.bq"])
+        k4 = heads(a @ p[f"l{i}.attn.wk"] + p[f"l{i}.attn.bk"])
+        v4 = heads(a @ p[f"l{i}.attn.wv"] + p[f"l{i}.attn.bv"])
+        attn = _masked_softmax_inplace(q4 @ k4.transpose(0, 1, 3, 2), scale, bias)
+        ctx = (attn @ v4).transpose(0, 2, 1, 3).reshape(B * n, d)
         o = ctx @ p[f"l{i}.attn.wo"] + p[f"l{i}.attn.bo"]
         x1 = x + o
         b2_, ln2c = _layernorm(x1, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
@@ -243,25 +268,34 @@ def encode(enc: EncoderParams, query: Query, want_cache: bool = False):
         x2 = x1 + f
         if want_cache:
             layer_caches.append({
-                "ln1": ln1c, "a": a, "q3": q3, "k3": k3, "v3": v3,
+                "ln1": ln1c, "a": a, "q4": q4, "k4": k4, "v4": v4,
                 "attn": attn, "ctx": ctx, "ln2": ln2c, "b2": b2_,
                 "gelu": gc, "gact": gact,
             })
         x = x2
 
     lnfc = None
-    pre_final = x
     if cfg.final_norm:
         x, lnfc = _layernorm(x, p["lnf.g"], p["lnf.b"])
 
+    hidden = x.reshape(B, n, d)
     if want_cache:
-        return x, {"layers": layer_caches, "lnf": lnfc, "pre_final": pre_final,
-                   "scale": scale}
-    return x
+        return hidden, {"layers": layer_caches, "lnf": lnfc, "scale": scale}
+    return hidden
+
+
+def encode(enc: EncoderParams, query: Query, want_cache: bool = False):
+    """Hidden states [n, d] for one query: ``encode_batch`` with B = 1."""
+    out = encode_batch(enc, [query], want_cache)
+    if want_cache:
+        return out[0][0], out[1]
+    return out[0]
 
 
 def _encode_bwd(enc: EncoderParams, query: Query, cache, d_hidden,
                 grads: dict[str, np.ndarray]) -> None:
+    """Backprop one query through the encoder, from the cache that
+    ``encode(..., want_cache=True)`` returned."""
     cfg = enc.config
     p = enc.params
     n, d, H = len(query), cfg.d, cfg.heads
@@ -299,17 +333,19 @@ def _encode_bwd(enc: EncoderParams, query: Query, cache, d_hidden,
         d_o = d_x1
         acc(f"l{i}.attn.wo", c["ctx"].T @ d_o)
         acc(f"l{i}.attn.bo", d_o.sum(axis=0))
-        d_ctx = (d_o @ p[f"l{i}.attn.wo"].T).reshape(n, H, dh).transpose(1, 0, 2)
-        d_attn = d_ctx @ c["v3"].transpose(0, 2, 1)
-        d_v3 = c["attn"].transpose(0, 2, 1) @ d_ctx
+        # Attention tensors carry the batch axis of encode_batch (B = 1).
+        d_ctx = (d_o @ p[f"l{i}.attn.wo"].T).reshape(1, n, H, dh) \
+            .transpose(0, 2, 1, 3)
         attn = c["attn"]
+        d_attn = d_ctx @ c["v4"].transpose(0, 1, 3, 2)
+        d_v4 = attn.transpose(0, 1, 3, 2) @ d_ctx
         d_s = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
         d_s = d_s * cache["scale"]
-        d_q3 = d_s @ c["k3"]
-        d_k3 = d_s.transpose(0, 2, 1) @ c["q3"]
-        d_q = d_q3.transpose(1, 0, 2).reshape(n, d)
-        d_k = d_k3.transpose(1, 0, 2).reshape(n, d)
-        d_v = d_v3.transpose(1, 0, 2).reshape(n, d)
+        d_q4 = d_s @ c["k4"]
+        d_k4 = d_s.transpose(0, 1, 3, 2) @ c["q4"]
+        d_q = d_q4.transpose(0, 2, 1, 3).reshape(n, d)
+        d_k = d_k4.transpose(0, 2, 1, 3).reshape(n, d)
+        d_v = d_v4.transpose(0, 2, 1, 3).reshape(n, d)
         a = c["a"]
         acc(f"l{i}.attn.wq", a.T @ d_q)
         acc(f"l{i}.attn.bq", d_q.sum(axis=0))
@@ -367,31 +403,51 @@ def _rope_bwd(dy, cos, sin):
     return dx
 
 
-def score(head: ScoringHead, hidden: np.ndarray, query: Query,
-          want_cache: bool = False):
-    """Token-pair score matrix [n, n]; cells outside the scoring mask are -inf."""
-    if query.scoring_mask is None:
-        raise ShapeMismatch("query has no scoring mask; run build_scoring_mask")
-    if hidden.shape != (len(query), head.d_in):
+def score_batch(head: ScoringHead, hidden: np.ndarray, queries,
+                want_cache: bool = False):
+    """Token-pair score matrices for the queries of one ``encode_batch``
+    pass: a list of [n_i, n_i] arrays, cells outside each query's scoring
+    mask set to -inf."""
+    B, n = len(queries), max(len(q) for q in queries)
+    for query in queries:
+        if query.scoring_mask is None:
+            raise ShapeMismatch("query has no scoring mask; run build_scoring_mask")
+    if hidden.shape != (B, n, head.d_in):
         raise ShapeMismatch(
-            f"hidden shape {hidden.shape} does not match query length "
-            f"{len(query)} and head input dim {head.d_in}"
-        )
-    q = hidden @ head.params["q.w"] + head.params["q.b"]
-    k = hidden @ head.params["k.w"] + head.params["k.b"]
-    cos, sin = rope_tables(query.position_ids, head.d_head, dtype=hidden.dtype)
+            f"hidden shape {hidden.shape} does not match {B} queries of up to "
+            f"{n} tokens and head input dim {head.d_in}")
+    rows = hidden.reshape(B * n, head.d_in)
+    positions = np.zeros((B, n), dtype=np.int64)
+    for b, query in enumerate(queries):
+        positions[b, :len(query)] = query.position_ids
+    q = rows @ head.params["q.w"] + head.params["q.b"]
+    k = rows @ head.params["k.w"] + head.params["k.b"]
+    cos, sin = rope_tables(positions.reshape(-1), head.d_head, dtype=rows.dtype)
     rq = apply_rope(q, cos, sin)
     rk = apply_rope(k, cos, sin)
-    raw = rq @ rk.T
-    z = np.where(query.scoring_mask, raw, np.array(-np.inf, dtype=raw.dtype))
+    raw = rq.reshape(B, n, -1) @ rk.reshape(B, n, -1).transpose(0, 2, 1)
+    neg_inf = np.array(-np.inf, dtype=raw.dtype)
+    zs = [np.where(query.scoring_mask, raw[b, :len(query), :len(query)], neg_inf)
+          for b, query in enumerate(queries)]
     if want_cache:
-        return z, {"hidden": hidden, "rq": rq, "rk": rk, "cos": cos, "sin": sin}
-    return z
+        return zs, {"hidden": rows, "rq": rq, "rk": rk, "cos": cos, "sin": sin}
+    return zs
+
+
+def score(head: ScoringHead, hidden: np.ndarray, query: Query,
+          want_cache: bool = False):
+    """Token-pair score matrix [n, n] for one query: ``score_batch`` with
+    B = 1; cells outside the scoring mask are -inf."""
+    out = score_batch(head, hidden[None], [query], want_cache)
+    if want_cache:
+        return out[0][0], out[1]
+    return out[0]
 
 
 def _score_bwd(head: ScoringHead, query: Query, cache, d_z,
                grads: dict[str, np.ndarray]):
-    """Backprop through the head given dL/dZ (zero at masked cells).
+    """Backprop one query through the head given dL/dZ (zero at masked
+    cells), from the cache that ``score(..., want_cache=True)`` returned.
     Returns dL/dhidden."""
     d_rq = d_z @ cache["rk"]
     d_rk = d_z.T @ cache["rq"]

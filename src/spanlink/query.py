@@ -62,8 +62,12 @@ from .tokenizer import (
 # Segment kinds, one per token.
 K_CLS, K_PREFIX, K_TYPE, K_CLST, K_TEXTMARK, K_TEXT, K_SEP = range(7)
 
-_TOKEN_TYPE = {K_CLS: 0, K_PREFIX: 1, K_TYPE: 2, K_CLST: 3,
-               K_TEXTMARK: 0, K_TEXT: 0, K_SEP: 0}
+# Per-kind lookup tables, indexed by a query's ``kinds`` array: the token
+# type id, and whether the token attends and is attended everywhere.
+_TOKEN_TYPE_IDS = np.zeros(7, dtype=np.int64)
+_TOKEN_TYPE_IDS[[K_PREFIX, K_TYPE, K_CLST]] = 1, 2, 3
+_IS_GLOBAL = np.zeros(7, dtype=bool)
+_IS_GLOBAL[[K_CLS, K_SEP, K_CLST, K_TEXTMARK, K_TEXT]] = True
 
 
 def render_prefix(path) -> str:
@@ -256,10 +260,9 @@ def assign_isolation(query: Query) -> Query:
         else:  # K_SEP
             pos[i] = query.max_prompt_len + query.text_len + 1
 
-    token_types = np.array([_TOKEN_TYPE[int(k)] for k in query.kinds], dtype=np.int64)
-
     kinds = query.kinds
-    is_global = np.isin(kinds, (K_CLS, K_SEP, K_CLST, K_TEXTMARK, K_TEXT))
+    token_types = _TOKEN_TYPE_IDS[kinds]
+    is_global = _IS_GLOBAL[kinds]
     is_type = kinds == K_TYPE
     same_group = (query.group_of[:, None] == query.group_of[None, :]) \
         & (query.group_of[:, None] >= 0)

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyCorpus, MalformedVocab, OutOfBounds
 
-# Reserved tokens, in fixed id order 0..8.  [PAD] is reserved for future
-# batching and never appears in queries; [UNK] stands in for out-of-vocabulary
-# words while keeping their true offsets.
+# Reserved tokens, in fixed id order 0..8.  [PAD] (id 0) fills the unused
+# slots of a padded batch (``model.encode_batch``) and never appears in a
+# query; [UNK] stands in for out-of-vocabulary words while keeping their true
+# offsets.
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 PREFIX_MARK, TYPE_MARK, TEXT_MARK = "[P]", "[T]", "[Text]"
 CLASSIFY, MULTICLASSIFY = "[CLASSIFY]", "[MULTICLASSIFY]"

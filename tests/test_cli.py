@@ -11,6 +11,7 @@ from spanlink.cli import main
 from spanlink.config import load_config, validate_config
 from spanlink.data import save_dataset
 from spanlink.decoding import save_grids
+from spanlink.model import load_checkpoint
 from spanlink.schema import parse_schema
 from spanlink.tokenizer import load_vocab
 
@@ -116,14 +117,20 @@ def test_extract_data_file_to_out(trained, workspace, tmp_path):
         ex.text for ex in examples]
 
 
-def test_extract_jobs_flag_matches_serial(trained, tmp_path):
+def test_extract_data_matches_per_text_extract(trained, workspace, tmp_path):
     root = trained
-    serial, threaded = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
-    base = ["extract", "--config", str(root / "run.cfg"),
-            "--data", str(root / "data.jsonl")]
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--out", str(threaded), "--jobs", "3"]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
+    _, examples = workspace
+    out = tmp_path / "preds.jsonl"
+    assert main(["extract", "--config", str(root / "run.cfg"),
+                 "--data", str(root / "data.jsonl"), "--out", str(out)]) == 0
+    cfg = load_config(root / "run.cfg")
+    schema = parse_schema(NER_RE_SCHEMA)
+    vocab = load_vocab(root / "model.ckpt.vocab")
+    scorer = engine.ModelScorer(*load_checkpoint(root / "model.ckpt"))
+    expected = [engine.extraction_record(
+        ex.text, engine.extract(schema, vocab, scorer, ex.text, cfg))
+        for ex in examples]
+    assert out.read_text(encoding="utf-8").splitlines() == expected
 
 
 def test_extract_oracle_scores_replays_stored_matrices(trained, tmp_path):

@@ -68,6 +68,15 @@ def test_overrides_reject_malformed(item):
         apply_overrides(Config(), [item])
 
 
+def test_config_file_naming_jobs_is_rejected(tmp_path):
+    # extraction batches texts with no setting; the old worker-thread key
+    # is gone rather than silently ignored
+    path = tmp_path / "run.cfg"
+    path.write_text("d=16\njobs=2\n", encoding="utf-8")
+    with pytest.raises(BadConfig, match="jobs"):
+        load_config(path)
+
+
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("d=16\nd_head=8\n", encoding="utf-8")
@@ -80,7 +89,6 @@ def test_load_config_reads_file(tmp_path):
     dict(delta_cls=1.5),
     dict(delta_cls=-0.1),
     dict(d=0),
-    dict(jobs=0),
     dict(d_head=7),
     dict(layers=-1),
     dict(epochs=-2),

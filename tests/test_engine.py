@@ -18,6 +18,7 @@ from conftest import (
 from spanlink.config import Config
 from spanlink.data import Example, PathElement, path_key
 from spanlink.engine import (
+    WINDOW_TOKENS,
     GoldScorer,
     GridScorer,
     LevelPlan,
@@ -323,12 +324,76 @@ def test_extract_many_preserves_order_and_matches_serial(corpus):
     rng = np.random.default_rng(7)
     enc, head = build_model(small_train_config(), len(vocab), rng)
     scorer = ModelScorer(enc, head)  # pure function of the query
-    serial = extract_many(texts, schema, vocab, scorer,
-                          small_train_config(jobs=1))
-    threaded = extract_many(texts, schema, vocab, scorer,
-                            small_train_config(jobs=3))
-    assert serial == threaded
-    assert len(serial) == len(texts)
+    cfg = small_train_config()
+    batched = extract_many(texts, schema, vocab, scorer, cfg)
+    assert batched == [extract(schema, vocab, scorer, t, cfg) for t in texts]
+    assert len(batched) == len(texts)
+
+
+@pytest.fixture(scope="module")
+def a5_scorer():
+    """The A5 recipe's model, trained to F1 = 1.0 on 50 sentences."""
+    examples = ner_re_corpus(seed=0, n=50)
+    vocab = ner_re_vocab(examples)
+    cfg = small_train_config(d=64, d_head=64, layers=2, heads=4, epochs=200,
+                             early_stop_f1=1.0,
+                             eval_tasks="entity,relation-strict")
+    result = train(examples, parse_schema(NER_RE_SCHEMA), vocab, cfg)
+    assert result.log[-1]["relation-strict"] == 1.0
+    return ModelScorer(result.enc, result.head), vocab, cfg
+
+
+class _CountingScorer(ModelScorer):
+    def __init__(self, inner):
+        super().__init__(inner.enc, inner.head)
+        self.batches = []
+
+    def many(self, queries):
+        self.batches.append(len(queries))
+        return super().many(queries)
+
+
+def test_extract_many_batched_equals_per_text_with_trained_model(a5_scorer):
+    scorer, vocab, cfg = a5_scorer
+    schema = parse_schema(NER_RE_SCHEMA)
+    texts = [ex.text for ex in ner_re_corpus(seed=9, n=WINDOW_TOKENS // 2)]
+    assert sum(len(tokenize(vocab, t)) for t in texts) > 2 * WINDOW_TOKENS
+    counting = _CountingScorer(scorer)
+    batched = extract_many(texts, schema, vocab, counting, cfg)
+    assert batched == [extract(schema, vocab, scorer, t, cfg) for t in texts]
+
+    def one_query_per_pass(query):  # no ``many``: the unbatched reference
+        return scorer(query)
+
+    assert batched == extract_many(texts, schema, vocab, one_query_per_pass,
+                                   cfg)
+    # at least three windows of two levels each, several chunks per level
+    assert len(counting.batches) > 3 * 2 * 2
+    assert max(counting.batches) > 1
+    # the model decodes relations, so the walk really went two levels deep
+    assert any(len(p.elements) == 2 for paths in batched for p in paths)
+
+
+def test_recording_scorer_sees_per_text_query_order(corpus):
+    examples, vocab, schema = corpus
+    chosen = examples[:3]
+    gold = {ex.text: GoldScorer(ex.paths) for ex in chosen}
+
+    def by_text(query):
+        return gold[query.source](query)
+
+    cfg = small_train_config()
+    batched = RecordingScorer(by_text)
+    got = extract_many([ex.text for ex in chosen], schema, vocab, batched, cfg)
+    serial = RecordingScorer(by_text)
+    want = [extract(schema, vocab, serial, ex.text, cfg) for ex in chosen]
+    assert got == want
+    assert [(q.source, q.groups) for q in batched.queries] == \
+        [(q.source, q.groups) for q in serial.queries]
+    # every text's queries, all of its levels, come before the next text's
+    sources = [q.source for q in batched.queries]
+    assert sources == sorted(sources, key=[ex.text for ex in chosen].index)
+    assert len(sources) > len(chosen)
 
 
 def test_extract_many_gold_closure(corpus):
