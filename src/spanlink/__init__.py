@@ -63,9 +63,6 @@ from .model import (
 from .query import (
     PrefixGroup,
     Query,
-    assign_isolation,
-    build_query,
-    build_scoring_mask,
     build_target,
     make_query,
     render_query,
@@ -81,8 +78,7 @@ __all__ = [
     "ExtractionPath", "GoldScorer", "GridScorer", "LevelMode", "MetricReport",
     "ModelScorer", "PathElement", "PrefixGroup", "Query", "Schema",
     "SchemaNode", "ScoringHead", "SpanlinkError", "TypedSpan", "Vocab",
-    "assign_isolation", "backward", "build_query", "build_scoring_mask",
-    "build_target", "build_vocab", "children_of", "circle_loss",
+    "backward", "build_target", "build_vocab", "children_of", "circle_loss",
     "convert_conll04_record", "corpus_f1", "decode_cls_multi",
     "decode_cls_single", "decode_ie", "encode", "evaluate", "extract",
     "format_config", "init_encoder", "init_head", "load_checkpoint",

@@ -61,6 +61,13 @@ def _schema_labels(schema: Schema) -> list[str]:
     return labels
 
 
+def _data_texts(path: str) -> list[str]:
+    """The text of every non-blank record in a data file, in file order."""
+    with open(path, encoding="utf-8") as fh:
+        return [parse_record(line, lineno).text
+                for lineno, line in enumerate(fh, start=1) if line.strip()]
+
+
 def _vocab_path(cfg: Config) -> str:
     return cfg.vocab or (cfg.checkpoint + ".vocab")
 
@@ -75,12 +82,7 @@ def _obtain_vocab(cfg: Config, schema: Schema, build: bool) -> Vocab:
         raise BadConfig(f"vocabulary file {path!r} not found")
     if not cfg.data:
         raise BadConfig("config needs a data path to build a vocabulary")
-    texts = []
-    with open(cfg.data, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                texts.append(parse_record(line, lineno).text)
-    vocab = build_vocab(texts, _schema_labels(schema))
+    vocab = build_vocab(_data_texts(cfg.data), _schema_labels(schema))
     save_vocab(vocab, path)
     return vocab
 
@@ -208,12 +210,7 @@ def _collect_texts(args) -> list[str]:
         return [args.text]
     if not args.data:
         raise BadConfig("extract needs --text or --data")
-    texts = []
-    with open(args.data, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                texts.append(parse_record(line, lineno).text)
-    return texts
+    return _data_texts(args.data)
 
 
 def build_parser() -> argparse.ArgumentParser:

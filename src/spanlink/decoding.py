@@ -129,29 +129,22 @@ def cls_products(z: np.ndarray, query: Query) -> list[tuple[int, str, float]]:
     ]
 
 
-def _pair_products(z: np.ndarray, query: Query, group: int):
-    markers = [m for m in query.type_markers if m.group == group]
-    if not markers:
-        raise NoCandidates(f"group {group} has no candidate labels")
-    j = query.clst_pos
-    probs = np.array([
-        float(expit(z[j, m.pos])) * float(expit(z[m.pos, j])) for m in markers
-    ])
-    return markers, probs
+def argmax_label(products: dict[str, float], order) -> str:
+    """The label with the largest product; exact ties go to the label that
+    comes first in ``order``, the group's candidate types."""
+    rank = {label: i for i, label in enumerate(order)}
+    return min(products, key=lambda label: (-products[label], rank[label]))
 
 
 def decode_cls_single(z: np.ndarray, query: Query) -> tuple[ClsDecision, ...]:
     """One label per group: argmax of the two-direction sigmoid product.
     Exact ties resolve to the lowest candidate index."""
-    if query.mode is LevelMode.EXTRACT or query.clst_pos is None:
-        raise NoCandidates("query was not built in a classification mode")
-    _check_finite(z)
-    decisions = []
-    for g in range(len(query.groups)):
-        markers, probs = _pair_products(z, query, g)
-        best = int(np.argmax(probs))  # argmax returns the first maximum
-        decisions.append(ClsDecision(group=g, labels=(markers[best].label,)))
-    return tuple(decisions)
+    by_group: dict[int, dict[str, float]] = {}
+    for g, label, p in cls_products(z, query):
+        by_group.setdefault(g, {})[label] = p
+    return tuple(
+        ClsDecision(group=g, labels=(argmax_label(by_group[g], group.types),))
+        for g, group in enumerate(query.groups))
 
 
 def decode_cls_multi(z: np.ndarray, query: Query,

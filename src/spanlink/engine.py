@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import Config, eval_task_list
 from .data import Example, PathElement, path_key
-from .decoding import cls_products, decode_cls_multi, decode_ie
+from .decoding import argmax_label, cls_products, decode_cls_multi, decode_ie
 from .errors import OracleExhausted
 from .metrics import MetricReport, corpus_f1, metric_for_task
 from .model import (
@@ -145,8 +145,7 @@ def merge_results(plan: LevelPlan, outputs, delta_cls: float):
                 slot = products.setdefault(pk, {})
                 slot[label] = slot.get(label, 1.0) * p
         for pk, slot in products.items():
-            order = {label: i for i, label in enumerate(by_path[pk].types)}
-            best = min(slot, key=lambda lab: (-slot[lab], order[lab]))
+            best = argmax_label(slot, by_path[pk].types)
             continuations[pk].append(PathElement(label=best))
     else:
         chosen: dict[tuple, list[str]] = {}
@@ -412,13 +411,13 @@ def teacher_forced_queries(example: Example, schema: Schema, vocab: Vocab,
     """(query, target) pairs for every level of one example, with gold
     prefixes standing in for predictions."""
     toks = tokenize(vocab, example.text)
+    scorer = GoldScorer(example.paths)
     pairs = []
     for level in range(1, schema.depth + 1):
         prefixes = gold_prefixes(example.paths, schema, level)
         if not prefixes:
             break
         plan = plan_level(schema, prefixes, toks, example.text, vocab, cfg)
-        scorer = GoldScorer(example.paths)
         for query in plan.queries:
             pairs.append((query, scorer.target_for(query)))
     return pairs

@@ -193,8 +193,6 @@ def _masked_softmax_inplace(s, scale: float, bias):
 # -------------------------------------------------------------- encoder ---
 
 def _check_query(config: EncoderConfig, query: Query) -> None:
-    if query.position_ids is None or query.attention_mask is None:
-        raise ShapeMismatch("query has no isolation assigned; run assign_isolation")
     n = len(query)
     if query.attention_mask.shape != (n, n):
         raise ShapeMismatch("attention mask shape does not match query length")
@@ -295,44 +293,39 @@ def encode(enc: EncoderParams, query: Query, want_cache: bool = False):
 def _encode_bwd(enc: EncoderParams, query: Query, cache, d_hidden,
                 grads: dict[str, np.ndarray]) -> None:
     """Backprop one query through the encoder, from the cache that
-    ``encode(..., want_cache=True)`` returned."""
+    ``encode(..., want_cache=True)`` returned.  Writes each parameter's
+    gradient once into ``grads``, a fresh dict."""
     cfg = enc.config
     p = enc.params
     n, d, H = len(query), cfg.d, cfg.heads
     dh = d // H
 
-    def acc(name, g):
-        if name in grads:
-            grads[name] += g
-        else:
-            grads[name] = g
-
     dx = d_hidden
     if cfg.final_norm:
         dx, dg, db = _layernorm_bwd(dx, cache["lnf"])
-        acc("lnf.g", dg)
-        acc("lnf.b", db)
+        grads["lnf.g"] = dg
+        grads["lnf.b"] = db
 
     for i in reversed(range(cfg.layers)):
         c = cache["layers"][i]
         # FFN block: x2 = x1 + gelu(ln2(x1) @ w1 + b1) @ w2 + b2
         d_f = dx
-        acc(f"l{i}.ffn.w2", c["gact"].T @ d_f)
-        acc(f"l{i}.ffn.b2", d_f.sum(axis=0))
+        grads[f"l{i}.ffn.w2"] = c["gact"].T @ d_f
+        grads[f"l{i}.ffn.b2"] = d_f.sum(axis=0)
         d_gact = d_f @ p[f"l{i}.ffn.w2"].T
         d_h = _gelu_bwd(d_gact, c["gelu"])
-        acc(f"l{i}.ffn.w1", c["b2"].T @ d_h)
-        acc(f"l{i}.ffn.b1", d_h.sum(axis=0))
+        grads[f"l{i}.ffn.w1"] = c["b2"].T @ d_h
+        grads[f"l{i}.ffn.b1"] = d_h.sum(axis=0)
         d_b2 = d_h @ p[f"l{i}.ffn.w1"].T
         d_x1, dg, db = _layernorm_bwd(d_b2, c["ln2"])
-        acc(f"l{i}.ln2.g", dg)
-        acc(f"l{i}.ln2.b", db)
+        grads[f"l{i}.ln2.g"] = dg
+        grads[f"l{i}.ln2.b"] = db
         d_x1 = d_x1 + dx  # residual
 
         # Attention block: x1 = x + (attn @ v) @ wo + bo
         d_o = d_x1
-        acc(f"l{i}.attn.wo", c["ctx"].T @ d_o)
-        acc(f"l{i}.attn.bo", d_o.sum(axis=0))
+        grads[f"l{i}.attn.wo"] = c["ctx"].T @ d_o
+        grads[f"l{i}.attn.bo"] = d_o.sum(axis=0)
         # Attention tensors carry the batch axis of encode_batch (B = 1).
         d_ctx = (d_o @ p[f"l{i}.attn.wo"].T).reshape(1, n, H, dh) \
             .transpose(0, 2, 1, 3)
@@ -347,18 +340,18 @@ def _encode_bwd(enc: EncoderParams, query: Query, cache, d_hidden,
         d_k = d_k4.transpose(0, 2, 1, 3).reshape(n, d)
         d_v = d_v4.transpose(0, 2, 1, 3).reshape(n, d)
         a = c["a"]
-        acc(f"l{i}.attn.wq", a.T @ d_q)
-        acc(f"l{i}.attn.bq", d_q.sum(axis=0))
-        acc(f"l{i}.attn.wk", a.T @ d_k)
-        acc(f"l{i}.attn.bk", d_k.sum(axis=0))
-        acc(f"l{i}.attn.wv", a.T @ d_v)
-        acc(f"l{i}.attn.bv", d_v.sum(axis=0))
+        grads[f"l{i}.attn.wq"] = a.T @ d_q
+        grads[f"l{i}.attn.bq"] = d_q.sum(axis=0)
+        grads[f"l{i}.attn.wk"] = a.T @ d_k
+        grads[f"l{i}.attn.bk"] = d_k.sum(axis=0)
+        grads[f"l{i}.attn.wv"] = a.T @ d_v
+        grads[f"l{i}.attn.bv"] = d_v.sum(axis=0)
         d_a = (d_q @ p[f"l{i}.attn.wq"].T
                + d_k @ p[f"l{i}.attn.wk"].T
                + d_v @ p[f"l{i}.attn.wv"].T)
         d_x, dg, db = _layernorm_bwd(d_a, c["ln1"])
-        acc(f"l{i}.ln1.g", dg)
-        acc(f"l{i}.ln1.b", db)
+        grads[f"l{i}.ln1.g"] = dg
+        grads[f"l{i}.ln1.b"] = db
         dx = d_x1 + d_x
 
     d_tok = np.zeros_like(p["tok_emb"])
@@ -367,9 +360,9 @@ def _encode_bwd(enc: EncoderParams, query: Query, cache, d_hidden,
     np.add.at(d_tok, query.token_ids, dx)
     np.add.at(d_pos, query.position_ids, dx)
     np.add.at(d_type, query.token_type_ids, dx)
-    acc("tok_emb", d_tok)
-    acc("pos_emb", d_pos)
-    acc("type_emb", d_type)
+    grads["tok_emb"] = d_tok
+    grads["pos_emb"] = d_pos
+    grads["type_emb"] = d_type
 
 
 # --------------------------------------------------------- scoring head ---
@@ -409,9 +402,6 @@ def score_batch(head: ScoringHead, hidden: np.ndarray, queries,
     pass: a list of [n_i, n_i] arrays, cells outside each query's scoring
     mask set to -inf."""
     B, n = len(queries), max(len(q) for q in queries)
-    for query in queries:
-        if query.scoring_mask is None:
-            raise ShapeMismatch("query has no scoring mask; run build_scoring_mask")
     if hidden.shape != (B, n, head.d_in):
         raise ShapeMismatch(
             f"hidden shape {hidden.shape} does not match {B} queries of up to "
@@ -448,23 +438,18 @@ def _score_bwd(head: ScoringHead, query: Query, cache, d_z,
                grads: dict[str, np.ndarray]):
     """Backprop one query through the head given dL/dZ (zero at masked
     cells), from the cache that ``score(..., want_cache=True)`` returned.
-    Returns dL/dhidden."""
+    Writes each parameter's gradient once into ``grads``, a fresh dict, and
+    returns dL/dhidden."""
     d_rq = d_z @ cache["rk"]
     d_rk = d_z.T @ cache["rq"]
     d_q = _rope_bwd(d_rq, cache["cos"], cache["sin"])
     d_k = _rope_bwd(d_rk, cache["cos"], cache["sin"])
     hidden = cache["hidden"]
 
-    def acc(name, g):
-        if name in grads:
-            grads[name] += g
-        else:
-            grads[name] = g
-
-    acc("q.w", hidden.T @ d_q)
-    acc("q.b", d_q.sum(axis=0))
-    acc("k.w", hidden.T @ d_k)
-    acc("k.b", d_k.sum(axis=0))
+    grads["q.w"] = hidden.T @ d_q
+    grads["q.b"] = d_q.sum(axis=0)
+    grads["k.w"] = hidden.T @ d_k
+    grads["k.b"] = d_k.sum(axis=0)
     return d_q @ head.params["q.w"].T + d_k @ head.params["k.w"].T
 
 

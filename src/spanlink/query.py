@@ -31,7 +31,7 @@ tokens are independent of how much prompt precedes them; [CLST] sits at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,8 +99,11 @@ class TypeMarker:
     label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Query:
+    """One laid-out query with every encoder input filled; built only by
+    ``make_query`` (or ``split_query``)."""
+
     mode: LevelMode
     groups: tuple[PrefixGroup, ...]
     source: str
@@ -116,11 +119,11 @@ class Query:
     text_start: int                # query index of first real text token
     text_len: int
     sep_pos: int
-    clst_pos: int | None = None
-    position_ids: np.ndarray | None = None
-    token_type_ids: np.ndarray | None = None
-    attention_mask: np.ndarray | None = None
-    scoring_mask: np.ndarray | None = None
+    clst_pos: int | None           # None on extraction levels
+    position_ids: np.ndarray       # [n] int64
+    token_type_ids: np.ndarray     # [n] int64
+    attention_mask: np.ndarray     # [n, n] bool, the isolation rules
+    scoring_mask: np.ndarray       # [n, n] bool, cells the head scores
 
     def __len__(self) -> int:
         return len(self.token_ids)
@@ -139,53 +142,48 @@ def _clst_token(mode: LevelMode) -> str:
     return CLASSIFY if mode is LevelMode.CLASSIFY_SINGLE else MULTICLASSIFY
 
 
-def build_query(groups, text: TokenizedText, source: str, mode: LevelMode,
-                vocab: Vocab, max_prompt_len: int, max_len: int) -> Query:
-    """Lay out one query.  Raises PromptOverflow if the prompt exceeds its
-    budget (callers should fall back to split_query) and TextOverflow if the
-    whole thing cannot fit max_len."""
+def make_query(groups, text: TokenizedText, source: str, mode: LevelMode,
+               vocab: Vocab, max_prompt_len: int, max_len: int) -> Query:
+    """Lay out one query and fill its position ids, token type ids,
+    attention mask and scoring mask.  Raises PromptOverflow if the prompt
+    exceeds its budget (callers should fall back to split_query) and
+    TextOverflow if the whole thing cannot fit max_len."""
     groups = tuple(groups)
     if not groups:
         raise EmptyTypeSet("a query needs at least one prefix group")
-    ids: list[int] = [vocab.id(CLS)]
-    kinds: list[int] = [K_CLS]
-    group_of: list[int] = [-1]
-    typeseg_of: list[int] = [-1]
+    ids: list[int] = []
+    kinds: list[int] = []
+    group_of: list[int] = []
+    typeseg_of: list[int] = []
+    pos: list[int] = []
     markers: list[TypeMarker] = []
 
+    def put(tokens, kind, first, g=-1, seg=-1):
+        # One segment: its tokens take consecutive positions from ``first``.
+        k = len(tokens)
+        ids.extend(tokens)
+        kinds.extend([kind] * k)
+        group_of.extend([g] * k)
+        typeseg_of.extend([seg] * k)
+        pos.extend(range(first, first + k))
+
+    put([vocab.id(CLS)], K_CLS, 0)
     for g, group in enumerate(groups):
         if not group.types:
             raise EmptyTypeSet(f"group {g} has no candidate types")
-        ids.append(vocab.id(PREFIX_MARK))
-        kinds.append(K_PREFIX)
-        group_of.append(g)
-        typeseg_of.append(-1)
-        for tok in tokenize(vocab, group.rendered).token_ids:
-            ids.append(tok)
-            kinds.append(K_PREFIX)
-            group_of.append(g)
-            typeseg_of.append(-1)
+        # A group's prefix runs 1..k ([P] included); each of its type
+        # segments restarts at k+1, so siblings share starting positions.
+        prefix = [vocab.id(PREFIX_MARK)] + tokenize(vocab, group.rendered).token_ids
+        put(prefix, K_PREFIX, 1, g)
         for label in group.types:
-            marker = TypeMarker(pos=len(ids), group=g, label=label)
-            markers.append(marker)
-            seg = len(markers) - 1
-            ids.append(vocab.id(TYPE_MARK))
-            kinds.append(K_TYPE)
-            group_of.append(g)
-            typeseg_of.append(seg)
-            for tok in tokenize(vocab, label).token_ids:
-                ids.append(tok)
-                kinds.append(K_TYPE)
-                group_of.append(g)
-                typeseg_of.append(seg)
+            markers.append(TypeMarker(pos=len(ids), group=g, label=label))
+            put([vocab.id(TYPE_MARK)] + tokenize(vocab, label).token_ids,
+                K_TYPE, len(prefix) + 1, g, len(markers) - 1)
 
     clst_pos = None
     if mode is not LevelMode.EXTRACT:
         clst_pos = len(ids)
-        ids.append(vocab.id(_clst_token(mode)))
-        kinds.append(K_CLST)
-        group_of.append(-1)
-        typeseg_of.append(-1)
+        put([vocab.id(_clst_token(mode))], K_CLST, max_prompt_len - 1)
 
     esi_len = len(ids)
     if esi_len > max_prompt_len:
@@ -194,120 +192,61 @@ def build_query(groups, text: TokenizedText, source: str, mode: LevelMode,
         )
 
     text_mark_pos = len(ids)
-    ids.append(vocab.id(TEXT_MARK))
-    kinds.append(K_TEXTMARK)
-    group_of.append(-1)
-    typeseg_of.append(-1)
+    put([vocab.id(TEXT_MARK)], K_TEXTMARK, max_prompt_len)
     text_start = len(ids)
-    for tok in text.token_ids:
-        ids.append(tok)
-        kinds.append(K_TEXT)
-        group_of.append(-1)
-        typeseg_of.append(-1)
+    text_len = len(text.token_ids)
+    put(text.token_ids, K_TEXT, max_prompt_len + 1)
     sep_pos = len(ids)
-    ids.append(vocab.id(SEP))
-    kinds.append(K_SEP)
-    group_of.append(-1)
-    typeseg_of.append(-1)
+    put([vocab.id(SEP)], K_SEP, max_prompt_len + text_len + 1)
 
-    if len(ids) > max_len:
-        raise TextOverflow(f"query needs {len(ids)} tokens but max_len is {max_len}")
+    n = len(ids)
+    if n > max_len:
+        raise TextOverflow(f"query needs {n} tokens but max_len is {max_len}")
+
+    kinds_arr = np.asarray(kinds, dtype=np.int8)
+    group_arr = np.asarray(group_of, dtype=np.int64)
+    typeseg_arr = np.asarray(typeseg_of, dtype=np.int64)
+
+    is_global = _IS_GLOBAL[kinds_arr]
+    is_type = kinds_arr == K_TYPE
+    same_group = (group_arr[:, None] == group_arr[None, :]) \
+        & (group_arr[:, None] >= 0)
+    cross_typeseg = is_type[:, None] & is_type[None, :] \
+        & (typeseg_arr[:, None] != typeseg_arr[None, :])
+    attention = is_global[:, None] | is_global[None, :] \
+        | (same_group & ~cross_typeseg)
+
+    # Cells the scoring head is responsible for.  Extraction levels use
+    # three regions: head-to-tail text pairs (upper triangle, i <= j),
+    # text-to-[T] (span head linking to its type) and [T]-to-text (type
+    # linking to the span tail).  Classification levels use only the
+    # ([CLST], [T]) cell and its transpose, per candidate label.
+    scoring = np.zeros((n, n), dtype=bool)
+    marker_pos = [m.pos for m in markers]
+    if mode is LevelMode.EXTRACT:
+        t0, t1 = text_start, text_start + text_len
+        idx = np.arange(t0, t1)
+        scoring[t0:t1, t0:t1] = idx[:, None] <= idx[None, :]
+        for k in marker_pos:
+            scoring[t0:t1, k] = True
+            scoring[k, t0:t1] = True
+    else:
+        for k in marker_pos:
+            scoring[clst_pos, k] = True
+            scoring[k, clst_pos] = True
 
     return Query(
         mode=mode, groups=groups, source=source, text=text,
         max_prompt_len=max_prompt_len,
-        token_ids=np.asarray(ids, dtype=np.int64),
-        kinds=np.asarray(kinds, dtype=np.int8),
-        group_of=np.asarray(group_of, dtype=np.int64),
-        typeseg_of=np.asarray(typeseg_of, dtype=np.int64),
+        token_ids=np.asarray(ids, dtype=np.int64), kinds=kinds_arr,
+        group_of=group_arr, typeseg_of=typeseg_arr,
         type_markers=tuple(markers), esi_len=esi_len,
         text_mark_pos=text_mark_pos, text_start=text_start,
-        text_len=len(text.token_ids), sep_pos=sep_pos, clst_pos=clst_pos,
+        text_len=text_len, sep_pos=sep_pos, clst_pos=clst_pos,
+        position_ids=np.asarray(pos, dtype=np.int64),
+        token_type_ids=_TOKEN_TYPE_IDS[kinds_arr],
+        attention_mask=attention, scoring_mask=scoring,
     )
-
-
-def assign_isolation(query: Query) -> Query:
-    """Fill position ids, token type ids and the isolation attention mask."""
-    n = len(query)
-    pos = np.zeros(n, dtype=np.int64)
-    # Walk left to right tracking the current segment's counter.  A group's
-    # prefix runs 1..k ([P] included); each of its type segments restarts at
-    # k+1, so sibling type segments share starting positions.
-    prefix_end: dict[int, int] = {}
-    counter = 0
-    seg = -1
-    for i in range(n):
-        kind = int(query.kinds[i])
-        if kind == K_CLS:
-            pos[i] = 0
-        elif kind == K_PREFIX:
-            g = int(query.group_of[i])
-            prefix_end[g] = prefix_end.get(g, 0) + 1
-            pos[i] = prefix_end[g]
-        elif kind == K_TYPE:
-            if int(query.typeseg_of[i]) != seg:
-                seg = int(query.typeseg_of[i])
-                counter = prefix_end[int(query.group_of[i])] + 1
-            else:
-                counter += 1
-            pos[i] = counter
-        elif kind == K_CLST:
-            pos[i] = query.max_prompt_len - 1
-        elif kind == K_TEXTMARK:
-            pos[i] = query.max_prompt_len
-        elif kind == K_TEXT:
-            pos[i] = query.max_prompt_len + (i - query.text_start) + 1
-        else:  # K_SEP
-            pos[i] = query.max_prompt_len + query.text_len + 1
-
-    kinds = query.kinds
-    token_types = _TOKEN_TYPE_IDS[kinds]
-    is_global = _IS_GLOBAL[kinds]
-    is_type = kinds == K_TYPE
-    same_group = (query.group_of[:, None] == query.group_of[None, :]) \
-        & (query.group_of[:, None] >= 0)
-    cross_typeseg = is_type[:, None] & is_type[None, :] \
-        & (query.typeseg_of[:, None] != query.typeseg_of[None, :])
-    attention = is_global[:, None] | is_global[None, :] \
-        | (same_group & ~cross_typeseg)
-
-    return replace(query, position_ids=pos, token_type_ids=token_types,
-                   attention_mask=attention)
-
-
-def build_scoring_mask(query: Query) -> np.ndarray:
-    """Boolean matrix of cells the scoring head is responsible for.
-
-    Extraction levels use three regions: head-to-tail text pairs (upper
-    triangle, i <= j), text-to-[T] (span head linking to its type) and
-    [T]-to-text (type linking to the span tail).  Classification levels use
-    only the ([CLST], [T]) cell and its transpose, per candidate label.
-    """
-    n = len(query)
-    mask = np.zeros((n, n), dtype=bool)
-    marker_pos = [m.pos for m in query.type_markers]
-    if query.mode is LevelMode.EXTRACT:
-        t0, t1 = query.text_start, query.text_start + query.text_len
-        idx = np.arange(t0, t1)
-        mask[t0:t1, t0:t1] = idx[:, None] <= idx[None, :]
-        for k in marker_pos:
-            mask[t0:t1, k] = True
-            mask[k, t0:t1] = True
-    else:
-        j = query.clst_pos
-        for k in marker_pos:
-            mask[j, k] = True
-            mask[k, j] = True
-    return mask
-
-
-def make_query(groups, text: TokenizedText, source: str, mode: LevelMode,
-               vocab: Vocab, max_prompt_len: int, max_len: int) -> Query:
-    """build_query + assign_isolation + scoring mask in one call."""
-    query = assign_isolation(build_query(
-        groups, text, source, mode, vocab, max_prompt_len, max_len))
-    query.scoring_mask = build_scoring_mask(query)
-    return query
 
 
 def _token_span(query: Query, el: PathElement) -> tuple[int, int]:
@@ -359,16 +298,22 @@ def build_target(query: Query, gold_by_group) -> np.ndarray:
     return target
 
 
+def _base_cost(mode: LevelMode) -> int:
+    """Prompt tokens outside every group: [CLS], plus [CLST] when classifying."""
+    return 1 if mode is LevelMode.EXTRACT else 2
+
+
+def _segment_cost(rendering: str) -> int:
+    """Prompt tokens of one segment: its [P] or [T] marker plus its words."""
+    return 1 + len(word_split(rendering))
+
+
 def esi_cost(groups, mode: LevelMode) -> int:
     """Prompt length of a query over these groups, without building it."""
-    cost = 1  # [CLS]
-    if mode is not LevelMode.EXTRACT:
-        cost += 1  # [CLST]
-    for group in groups:
-        cost += 1 + len(word_split(group.rendered))
-        for label in group.types:
-            cost += 1 + len(word_split(label))
-    return cost
+    return _base_cost(mode) + sum(
+        _segment_cost(group.rendered)
+        + sum(_segment_cost(label) for label in group.types)
+        for group in groups)
 
 
 def split_query(groups, text: TokenizedText, source: str, mode: LevelMode,
@@ -378,21 +323,21 @@ def split_query(groups, text: TokenizedText, source: str, mode: LevelMode,
     Greedy first-fit in input order: a group may reappear in later queries
     with the remaining subset of its types, but no (group, type) pair is
     duplicated or dropped.  When everything fits, the result is a single
-    query identical to build_query's.
+    query identical to make_query's.
     """
     groups = tuple(groups)
     if not groups:
         raise EmptyTypeSet("a query needs at least one prefix group")
-    base = 1 + (0 if mode is LevelMode.EXTRACT else 1)
+    base = _base_cost(mode)
     buckets: list[dict[int, list[str]]] = []
     current: dict[int, list[str]] = {}
     cost = base
     for g, group in enumerate(groups):
         if not group.types:
             raise EmptyTypeSet(f"group {g} has no candidate types")
-        group_cost = 1 + len(word_split(group.rendered))
+        group_cost = _segment_cost(group.rendered)
         for label in group.types:
-            type_cost = 1 + len(word_split(label))
+            type_cost = _segment_cost(label)
             extra = type_cost + (group_cost if g not in current else 0)
             if cost + extra > max_prompt_len and current:
                 buckets.append(current)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.special import expit, logit
 
-from conftest import flat_vocab, query_of, random_ie_case
+from conftest import TYPE_LABELS, flat_vocab, query_of, random_ie_case
+from spanlink.data import PathElement, path_key
 from spanlink.decoding import (
     ClsDecision,
     cls_products,
@@ -15,6 +16,7 @@ from spanlink.decoding import (
     save_grids,
     threshold,
 )
+from spanlink.engine import LevelPlan, merge_results
 from spanlink.errors import (
     BadGridFile,
     NoCandidates,
@@ -224,6 +226,40 @@ def test_cls_single_shift_invariance_with_margin():
         shifted = decode_cls_single(np.where(q.scoring_mask, z + c, -np.inf), q)
         if gap > 2 * abs(c):
             assert base == shifted
+
+
+def test_cls_single_agrees_with_merge_argmax():
+    # decode_cls_single and the engine's single-label merge share one argmax:
+    # largest product, exact ties to the earliest candidate in group order.
+    # Scores drawn from three values make exact ties common.
+    rng = np.random.default_rng(26)
+    vocab = flat_vocab()
+    ties = 0
+    for _ in range(300):
+        groups = []
+        for g in range(int(rng.integers(1, 4))):
+            path = () if g == 0 else (PathElement(TYPE_LABELS[g], 0, 3, "ant"),)
+            k = int(rng.integers(1, len(TYPE_LABELS) + 1))
+            labels = tuple(rng.permutation(TYPE_LABELS)[:k].tolist())
+            groups.append(PrefixGroup(path, labels))
+        q = query_of(vocab, "ant bee", groups, mode=LevelMode.CLASSIFY_SINGLE,
+                     max_prompt_len=64, max_len=96)
+        if rng.random() < 0.5:
+            z = rng.choice([-1.0, 0.0, 2.0], size=(len(q), len(q)))
+        else:
+            z = rng.standard_normal((len(q), len(q))) * 3
+        products = cls_products(z, q)
+        plan = LevelPlan(level=2, mode=LevelMode.CLASSIFY_SINGLE,
+                         groups=q.groups, queries=[q])
+        merged = merge_results(plan, [products], 0.9)
+        want = tuple(
+            ClsDecision(group=g, labels=(merged[path_key(group.path)][0].label,))
+            for g, group in enumerate(q.groups))
+        assert decode_cls_single(z, q) == want
+        for g in range(len(q.groups)):
+            probs = [p for pg, _, p in products if pg == g]
+            ties += probs.count(max(probs)) > 1
+    assert ties > 0
 
 
 def test_cls_multi_strict_threshold():

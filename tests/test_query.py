@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from spanlink.query import (
     K_TEXTMARK,
     K_TYPE,
     PrefixGroup,
-    build_query,
     build_target,
     esi_cost,
     make_query,
@@ -106,6 +107,56 @@ def test_position_ids_hand_case():
     assert pos[q.text_mark_pos] == 20
     assert list(pos[q.text_start:q.text_start + 2]) == [21, 22]
     assert pos[q.sep_pos] == 23
+
+
+def _expected_positions(q):
+    """Independent statement of the position-id rule, token by token."""
+    want = []
+    for i in range(len(q)):
+        kind, g = int(q.kinds[i]), int(q.group_of[i])
+        in_group_prefix = (q.kinds == K_PREFIX) & (q.group_of == g)
+        if kind == K_CLS:
+            want.append(0)
+        elif kind == K_PREFIX:
+            # 1-based rank inside the group's prefix, [P] included
+            want.append(int(in_group_prefix[:i + 1].sum()))
+        elif kind == K_TYPE:
+            # right after the whole group prefix, counting up in the segment
+            in_seg = q.typeseg_of[:i + 1] == q.typeseg_of[i]
+            want.append(int(in_group_prefix.sum()) + int(in_seg.sum()))
+        elif kind == K_CLST:
+            want.append(q.max_prompt_len - 1)
+        elif kind == K_TEXTMARK:
+            want.append(q.max_prompt_len)
+        elif kind == K_TEXT:
+            want.append(q.max_prompt_len + int((q.kinds[:i + 1] == K_TEXT).sum()))
+        else:
+            assert kind == K_SEP
+            want.append(q.max_prompt_len + int((q.kinds == K_TEXT).sum()) + 1)
+    return want
+
+
+@pytest.mark.parametrize("mode", list(LevelMode))
+def test_position_ids_match_rule(mode):
+    rng = np.random.default_rng(29)
+    vocab = flat_vocab()
+    for _ in range(200):
+        text, groups, _ = random_ie_case(rng, max_groups=3)
+        budget = int(rng.integers(40, 64))
+        q = query_of(vocab, text, groups, mode=mode, max_prompt_len=budget,
+                     max_len=128)
+        assert q.position_ids.tolist() == _expected_positions(q)
+
+
+def test_query_is_frozen_and_filled():
+    vocab = flat_vocab()
+    q = _mk(vocab, "ant bee", [PrefixGroup((), ("alpha",))])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.position_ids = np.zeros(len(q), dtype=np.int64)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.scoring_mask = None
+    assert all(getattr(q, f.name) is not None
+               for f in dataclasses.fields(q) if f.name != "clst_pos")
 
 
 def test_sibling_type_segments_share_positions():
@@ -311,10 +362,10 @@ def test_empty_groups_and_types_rejected():
     vocab = flat_vocab()
     toks = tokenize(vocab, "ant")
     with pytest.raises(EmptyTypeSet):
-        build_query([], toks, "ant", LevelMode.EXTRACT, vocab, 16, 32)
+        make_query([], toks, "ant", LevelMode.EXTRACT, vocab, 16, 32)
     with pytest.raises(EmptyTypeSet):
-        build_query([PrefixGroup((), ())], toks, "ant",
-                    LevelMode.EXTRACT, vocab, 16, 32)
+        make_query([PrefixGroup((), ())], toks, "ant",
+                   LevelMode.EXTRACT, vocab, 16, 32)
 
 
 def test_prompt_overflow():
@@ -322,7 +373,7 @@ def test_prompt_overflow():
     toks = tokenize(vocab, "ant")
     groups = [PrefixGroup((), tuple(TYPE_LABELS))]
     with pytest.raises(PromptOverflow):
-        build_query(groups, toks, "ant", LevelMode.EXTRACT, vocab, 4, 64)
+        make_query(groups, toks, "ant", LevelMode.EXTRACT, vocab, 4, 64)
 
 
 def test_text_overflow():
@@ -330,8 +381,8 @@ def test_text_overflow():
     text = " ".join(["ant"] * 30)
     toks = tokenize(vocab, text)
     with pytest.raises(TextOverflow):
-        build_query([PrefixGroup((), ("alpha",))], toks, text,
-                    LevelMode.EXTRACT, vocab, 16, 20)
+        make_query([PrefixGroup((), ("alpha",))], toks, text,
+                   LevelMode.EXTRACT, vocab, 16, 20)
 
 
 # ------------------------------------------------------------------- split
