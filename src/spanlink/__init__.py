@@ -52,6 +52,7 @@ from .model import (
     EncoderParams,
     ScoringHead,
     backward,
+    backward_batch,
     circle_loss,
     encode,
     init_encoder,
@@ -78,8 +79,9 @@ __all__ = [
     "ExtractionPath", "GoldScorer", "GridScorer", "LevelMode", "MetricReport",
     "ModelScorer", "PathElement", "PrefixGroup", "Query", "Schema",
     "SchemaNode", "ScoringHead", "SpanlinkError", "TypedSpan", "Vocab",
-    "backward", "build_target", "build_vocab", "children_of", "circle_loss",
-    "convert_conll04_record", "corpus_f1", "decode_cls_multi",
+    "backward", "backward_batch", "build_target", "build_vocab",
+    "children_of", "circle_loss", "convert_conll04_record", "corpus_f1",
+    "decode_cls_multi",
     "decode_cls_single", "decode_ie", "encode", "evaluate", "extract",
     "format_config", "init_encoder", "init_head", "load_checkpoint",
     "load_config", "load_dataset", "load_grids", "load_vocab",

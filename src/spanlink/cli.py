@@ -29,22 +29,25 @@ from .config import (
 )
 from .data import load_dataset, parse_record
 from .decoding import load_grids
-from .errors import BadConfig, CheckpointMismatch, SpanlinkError
+from .errors import (
+    BadConfig,
+    CheckpointMismatch,
+    MalformedRecord,
+    MalformedSchema,
+    SpanlinkError,
+    read_text,
+)
 from .model import load_checkpoint, save_checkpoint
 from .query import render_query
 from .schema import Schema, parse_schema, validate_schema
 from .tokenizer import Vocab, build_vocab, load_vocab, save_vocab
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_schema(cfg: Config) -> Schema:
     if not cfg.schema:
         raise BadConfig("config needs a schema path")
-    schema = parse_schema(_read(cfg.schema), level_modes=level_mode_list(cfg))
+    schema = parse_schema(read_text(cfg.schema, MalformedSchema),
+                          level_modes=level_mode_list(cfg))
     validate_schema(schema, cfg.max_depth)
     return schema
 
@@ -63,9 +66,9 @@ def _schema_labels(schema: Schema) -> list[str]:
 
 def _data_texts(path: str) -> list[str]:
     """The text of every non-blank record in a data file, in file order."""
-    with open(path, encoding="utf-8") as fh:
-        return [parse_record(line, lineno).text
-                for lineno, line in enumerate(fh, start=1) if line.strip()]
+    lines = read_text(path, MalformedRecord).split("\n")
+    return [parse_record(line, lineno).text
+            for lineno, line in enumerate(lines, start=1) if line.strip()]
 
 
 def _vocab_path(cfg: Config) -> str:

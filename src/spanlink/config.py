@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import BadConfig
+from .errors import BadConfig, read_text
 from .schema import LevelMode
 
 
@@ -98,8 +98,7 @@ def format_config(cfg: Config) -> str:
 
 
 def load_config(path) -> Config:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path, BadConfig))
 
 
 def validate_config(cfg: Config) -> None:

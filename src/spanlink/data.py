@@ -26,6 +26,7 @@ from .errors import (
     MisalignedSpan,
     OffsetOutOfRange,
     UnknownGoldType,
+    read_text,
 )
 from .schema import LevelMode, Schema
 from .tokenizer import Vocab, tokenize
@@ -159,16 +160,16 @@ def load_dataset(path, schema: Schema | None = None, vocab: Vocab | None = None)
     token boundaries; misalignment is an error here, never silently clipped.
     """
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            example = parse_record(line, lineno)
-            if schema is not None:
-                _validate_against_schema(example, schema)
-            if vocab is not None:
-                _validate_alignment(example, vocab)
-            examples.append(example)
+    lines = read_text(path, MalformedRecord).split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        example = parse_record(line, lineno)
+        if schema is not None:
+            _validate_against_schema(example, schema)
+        if vocab is not None:
+            _validate_alignment(example, vocab)
+        examples.append(example)
     return examples
 
 

@@ -20,6 +20,7 @@ level by level and scores each level's queries in padded batches.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,30 +28,31 @@ import numpy as np
 from .config import Config, eval_task_list
 from .data import Example, PathElement, path_key
 from .decoding import argmax_label, cls_products, decode_cls_multi, decode_ie
-from .errors import OracleExhausted
+from .errors import Diverged, OracleExhausted
 from .metrics import MetricReport, corpus_f1, metric_for_task
 from .model import (
     EncoderConfig,
     EncoderParams,
     ScoringHead,
-    accumulate,
-    backward,
+    backward_batch,
     encode,
     encode_batch,
     init_encoder,
     init_head,
     score,
     score_batch,
+    zero_grads,
 )
-from .optim import AdamW, clip_grad_norm, linear_schedule
+from .optim import AdamW, clip_grad_norm, flat_buffers, linear_schedule
 from .query import PrefixGroup, Query, build_target, split_query
 from .schema import LevelMode, Schema, children_of
 from .tokenizer import Vocab, tokenize
 
-# Padded tokens (queries x longest query) per batched encoder pass.  On a
-# 2-core VM with 1 BLAS thread, encode + score of an n ~ 13 query took
-# 0.83 ms alone and 0.32 ms in batches of 16, with no further gain at 64; a
-# 512-token budget raised the benchmark's peak RSS by up to 9.4%.
+# Padded tokens (queries x longest query) per batched encoder pass, in
+# extraction and in training's backward passes.  On a 2-core VM with 1 BLAS
+# thread, encode + score of an n ~ 13 query took 0.83 ms alone and 0.32 ms
+# in batches of 16, with no further gain at 64; a 512-token budget raised
+# the benchmark's peak RSS by up to 9.4%.
 BATCH_TOKENS = 256
 # Text tokens walked together when the scorer batches.  A window's plans
 # stay in memory until it is done: 25 texts of 200 words raised peak RSS by
@@ -432,14 +434,6 @@ class TrainResult:
     log: list[dict] = field(default_factory=list)
 
 
-def _namespaced(enc: EncoderParams, head: ScoringHead, enc_grads, head_grads):
-    params = {f"enc.{k}": v for k, v in enc.params.items()}
-    params.update({f"head.{k}": v for k, v in head.params.items()})
-    grads = {f"enc.{k}": v for k, v in enc_grads.items()}
-    grads.update({f"head.{k}": v for k, v in head_grads.items()})
-    return params, grads
-
-
 def build_model(cfg: Config, vocab_size: int, rng: np.random.Generator):
     enc_cfg = EncoderConfig(
         vocab_size=vocab_size, d=cfg.d, layers=cfg.layers, heads=cfg.heads,
@@ -455,9 +449,20 @@ def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
     """Teacher-forced training: per example, sum circle loss over every
     level's queries, then one optimizer step (AdamW, linear warmup, global
     norm clip).  Logs per-epoch mean loss and training-set strict F1 via
-    self-extraction.  All randomness flows from cfg.seed."""
+    self-extraction.  All randomness flows from cfg.seed.
+
+    An example's queries run through ``backward_batch`` in chunks of up to
+    ``BATCH_TOKENS`` padded tokens.  Parameters and gradients live in flat
+    buffers (``flat_buffers``): ``enc.params`` and ``head.params`` are views
+    into the parameter buffers, backprop adds into views of the gradient
+    buffers, and AdamW updates each buffer whole.  A step whose gradient
+    norm is not finite raises ``Diverged`` before it touches the
+    parameters."""
     rng = np.random.default_rng(cfg.seed)
     enc, head = build_model(cfg, len(vocab), rng)
+    enc_grads, head_grads = zero_grads(enc, head)
+    params = flat_buffers(enc.params, head.params)
+    grads = flat_buffers(enc_grads, head_grads)
     opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay)
     total_steps = max(1, cfg.epochs * len(examples))
     tasks = eval_task_list(cfg)
@@ -468,19 +473,23 @@ def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
         epoch_loss = 0.0
         for idx in order:
             pairs = teacher_forced_queries(examples[int(idx)], schema, vocab, cfg)
-            enc_grads: dict[str, np.ndarray] = {}
-            head_grads: dict[str, np.ndarray] = {}
+            for g in grads.values():
+                g.fill(0.0)
             loss = 0.0
-            for query, target in pairs:
-                part_loss, ge, gh = backward(enc, head, query, target)
-                loss += part_loss
-                accumulate(enc_grads, ge)
-                accumulate(head_grads, gh)
+            for lo, hi in _chunk_bounds([len(q) for q, _ in pairs],
+                                        BATCH_TOKENS):
+                queries, targets = zip(*pairs[lo:hi])
+                loss += backward_batch(enc, head, queries, targets,
+                                       (enc_grads, head_grads))[0]
             step += 1
-            params, grads = _namespaced(enc, head, enc_grads, head_grads)
-            clip_grad_norm(grads, cfg.grad_clip)
-            opt.step(params, grads, linear_schedule(step, total_steps,
-                                                    cfg.warmup_ratio))
+            lr_factor = linear_schedule(step, total_steps, cfg.warmup_ratio)
+            norm = clip_grad_norm({**enc_grads, **head_grads}, cfg.grad_clip)
+            if not math.isfinite(norm):
+                raise Diverged(
+                    f"gradient norm is {norm} at epoch {epoch}, step {step} "
+                    f"(lr={cfg.lr:g} x schedule {lr_factor:.4g}); "
+                    f"try a lower lr")
+            opt.step(params, grads, lr_factor)
             epoch_loss += loss
         entry = {"epoch": epoch, "loss": epoch_loss / max(1, len(examples))}
         reports = evaluate(examples, schema, vocab, ModelScorer(enc, head),

@@ -2,7 +2,9 @@
 
 Every error carries a module-qualified ``code`` ("schema.MalformedSchema",
 "query.PromptOverflow", ...) so the CLI can report failures uniformly and
-callers can match on codes without string-parsing messages.
+callers can match on codes without string-parsing messages.  ``read_text``
+is the one reader of text files: it turns bytes that are not UTF-8 into one
+of these errors.
 """
 
 from __future__ import annotations
@@ -134,6 +136,10 @@ class OracleExhausted(EngineError):
     """Stored score matrices ran out (or mismatched) during extraction."""
 
 
+class Diverged(EngineError):
+    """Training produced a non-finite gradient norm (NaN or inf)."""
+
+
 # ---------------------------------------------------------- data_metrics ---
 
 class DataError(SpanlinkError):
@@ -160,3 +166,21 @@ class CliError(SpanlinkError):
 
 class BadConfig(CliError):
     """Config file or override flag does not parse."""
+
+
+# ------------------------------------------------------------ text files ---
+
+def read_text(path, error: type[SpanlinkError]) -> str:
+    """The contents of a UTF-8 text file, with "\\r\\n" and "\\r" read as
+    "\\n" as ``open`` reads them in text mode.  Every text file the package
+    reads comes through here: bytes that are not UTF-8 raise ``error``,
+    naming the file and the byte offset, instead of a ``UnicodeDecodeError``
+    that no caller expects."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{str(path)!r} is not UTF-8 text: {exc.reason} at byte "
+                    f"{exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -231,9 +231,11 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False):
     # Token, position and type ids; padded slots keep 0 in all three, and
     # token id 0 is [PAD] in every vocabulary.
     ids = np.zeros((3, B, n), dtype=np.int64)
+    real = np.zeros((B, n), dtype=bool)
     bias = np.full((B, n, n), -np.inf, dtype=dt)
     for b, query in enumerate(queries):
         m = len(query)
+        real[b, :m] = True
         ids[0, b, :m] = query.token_ids
         ids[1, b, :m] = query.position_ids
         ids[2, b, :m] = query.token_type_ids
@@ -278,7 +280,8 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False):
 
     hidden = x.reshape(B, n, d)
     if want_cache:
-        return hidden, {"layers": layer_caches, "lnf": lnfc, "scale": scale}
+        return hidden, {"layers": layer_caches, "lnf": lnfc, "scale": scale,
+                        "ids": ids, "real": real}
     return hidden
 
 
@@ -290,44 +293,46 @@ def encode(enc: EncoderParams, query: Query, want_cache: bool = False):
     return out[0]
 
 
-def _encode_bwd(enc: EncoderParams, query: Query, cache, d_hidden,
+def _encode_bwd(enc: EncoderParams, cache, d_hidden,
                 grads: dict[str, np.ndarray]) -> None:
-    """Backprop one query through the encoder, from the cache that
-    ``encode(..., want_cache=True)`` returned.  Writes each parameter's
-    gradient once into ``grads``, a fresh dict."""
+    """Backprop a batch through the encoder, from the cache that
+    ``encode_batch(..., want_cache=True)`` returned.  ``d_hidden`` is
+    [B * n_max, d] and zero at padded slots, which keeps every padded
+    slot's gradient zero on the way down.  Adds each parameter's gradient
+    into ``grads``; the embedding tables get theirs from real slots only."""
     cfg = enc.config
     p = enc.params
-    n, d, H = len(query), cfg.d, cfg.heads
+    B, n = cache["real"].shape
+    d, H = cfg.d, cfg.heads
     dh = d // H
 
     dx = d_hidden
     if cfg.final_norm:
         dx, dg, db = _layernorm_bwd(dx, cache["lnf"])
-        grads["lnf.g"] = dg
-        grads["lnf.b"] = db
+        grads["lnf.g"] += dg
+        grads["lnf.b"] += db
 
     for i in reversed(range(cfg.layers)):
         c = cache["layers"][i]
         # FFN block: x2 = x1 + gelu(ln2(x1) @ w1 + b1) @ w2 + b2
         d_f = dx
-        grads[f"l{i}.ffn.w2"] = c["gact"].T @ d_f
-        grads[f"l{i}.ffn.b2"] = d_f.sum(axis=0)
+        grads[f"l{i}.ffn.w2"] += c["gact"].T @ d_f
+        grads[f"l{i}.ffn.b2"] += d_f.sum(axis=0)
         d_gact = d_f @ p[f"l{i}.ffn.w2"].T
         d_h = _gelu_bwd(d_gact, c["gelu"])
-        grads[f"l{i}.ffn.w1"] = c["b2"].T @ d_h
-        grads[f"l{i}.ffn.b1"] = d_h.sum(axis=0)
+        grads[f"l{i}.ffn.w1"] += c["b2"].T @ d_h
+        grads[f"l{i}.ffn.b1"] += d_h.sum(axis=0)
         d_b2 = d_h @ p[f"l{i}.ffn.w1"].T
         d_x1, dg, db = _layernorm_bwd(d_b2, c["ln2"])
-        grads[f"l{i}.ln2.g"] = dg
-        grads[f"l{i}.ln2.b"] = db
+        grads[f"l{i}.ln2.g"] += dg
+        grads[f"l{i}.ln2.b"] += db
         d_x1 = d_x1 + dx  # residual
 
         # Attention block: x1 = x + (attn @ v) @ wo + bo
         d_o = d_x1
-        grads[f"l{i}.attn.wo"] = c["ctx"].T @ d_o
-        grads[f"l{i}.attn.bo"] = d_o.sum(axis=0)
-        # Attention tensors carry the batch axis of encode_batch (B = 1).
-        d_ctx = (d_o @ p[f"l{i}.attn.wo"].T).reshape(1, n, H, dh) \
+        grads[f"l{i}.attn.wo"] += c["ctx"].T @ d_o
+        grads[f"l{i}.attn.bo"] += d_o.sum(axis=0)
+        d_ctx = (d_o @ p[f"l{i}.attn.wo"].T).reshape(B, n, H, dh) \
             .transpose(0, 2, 1, 3)
         attn = c["attn"]
         d_attn = d_ctx @ c["v4"].transpose(0, 1, 3, 2)
@@ -336,33 +341,34 @@ def _encode_bwd(enc: EncoderParams, query: Query, cache, d_hidden,
         d_s = d_s * cache["scale"]
         d_q4 = d_s @ c["k4"]
         d_k4 = d_s.transpose(0, 1, 3, 2) @ c["q4"]
-        d_q = d_q4.transpose(0, 2, 1, 3).reshape(n, d)
-        d_k = d_k4.transpose(0, 2, 1, 3).reshape(n, d)
-        d_v = d_v4.transpose(0, 2, 1, 3).reshape(n, d)
+        d_q = d_q4.transpose(0, 2, 1, 3).reshape(B * n, d)
+        d_k = d_k4.transpose(0, 2, 1, 3).reshape(B * n, d)
+        d_v = d_v4.transpose(0, 2, 1, 3).reshape(B * n, d)
         a = c["a"]
-        grads[f"l{i}.attn.wq"] = a.T @ d_q
-        grads[f"l{i}.attn.bq"] = d_q.sum(axis=0)
-        grads[f"l{i}.attn.wk"] = a.T @ d_k
-        grads[f"l{i}.attn.bk"] = d_k.sum(axis=0)
-        grads[f"l{i}.attn.wv"] = a.T @ d_v
-        grads[f"l{i}.attn.bv"] = d_v.sum(axis=0)
+        grads[f"l{i}.attn.wq"] += a.T @ d_q
+        grads[f"l{i}.attn.bq"] += d_q.sum(axis=0)
+        grads[f"l{i}.attn.wk"] += a.T @ d_k
+        grads[f"l{i}.attn.bk"] += d_k.sum(axis=0)
+        grads[f"l{i}.attn.wv"] += a.T @ d_v
+        grads[f"l{i}.attn.bv"] += d_v.sum(axis=0)
         d_a = (d_q @ p[f"l{i}.attn.wq"].T
                + d_k @ p[f"l{i}.attn.wk"].T
                + d_v @ p[f"l{i}.attn.wv"].T)
         d_x, dg, db = _layernorm_bwd(d_a, c["ln1"])
-        grads[f"l{i}.ln1.g"] = dg
-        grads[f"l{i}.ln1.b"] = db
+        grads[f"l{i}.ln1.g"] += dg
+        grads[f"l{i}.ln1.b"] += db
         dx = d_x1 + d_x
 
-    d_tok = np.zeros_like(p["tok_emb"])
-    d_pos = np.zeros_like(p["pos_emb"])
-    d_type = np.zeros_like(p["type_emb"])
-    np.add.at(d_tok, query.token_ids, dx)
-    np.add.at(d_pos, query.position_ids, dx)
-    np.add.at(d_type, query.token_type_ids, dx)
-    grads["tok_emb"] = d_tok
-    grads["pos_emb"] = d_pos
-    grads["type_emb"] = d_type
+    # Each table's rows are scattered into a zeroed table and then added, so
+    # gradients summed over several calls associate as a sum of per-call
+    # gradients does.
+    real = cache["real"]
+    dx = dx[real.reshape(-1)]
+    for name, ids in zip(("tok_emb", "pos_emb", "type_emb"),
+                         cache["ids"][:, real]):
+        d_emb = np.zeros_like(grads[name])
+        np.add.at(d_emb, ids, dx)
+        grads[name] += d_emb
 
 
 # --------------------------------------------------------- scoring head ---
@@ -434,22 +440,24 @@ def score(head: ScoringHead, hidden: np.ndarray, query: Query,
     return out[0]
 
 
-def _score_bwd(head: ScoringHead, query: Query, cache, d_z,
-               grads: dict[str, np.ndarray]):
-    """Backprop one query through the head given dL/dZ (zero at masked
-    cells), from the cache that ``score(..., want_cache=True)`` returned.
-    Writes each parameter's gradient once into ``grads``, a fresh dict, and
-    returns dL/dhidden."""
-    d_rq = d_z @ cache["rk"]
-    d_rk = d_z.T @ cache["rq"]
+def _score_bwd(head: ScoringHead, cache, d_z, grads: dict[str, np.ndarray]):
+    """Backprop a batch through the head given dL/dZ as [B, n_max, n_max]
+    (zero at masked and padded cells), from the cache that
+    ``score_batch(..., want_cache=True)`` returned.  Adds each parameter's
+    gradient into ``grads`` and returns dL/dhidden as [B * n_max, d_in]."""
+    B, n = d_z.shape[:2]
+    rq = cache["rq"].reshape(B, n, -1)
+    rk = cache["rk"].reshape(B, n, -1)
+    d_rq = (d_z @ rk).reshape(B * n, -1)
+    d_rk = (d_z.transpose(0, 2, 1) @ rq).reshape(B * n, -1)
     d_q = _rope_bwd(d_rq, cache["cos"], cache["sin"])
     d_k = _rope_bwd(d_rk, cache["cos"], cache["sin"])
     hidden = cache["hidden"]
 
-    grads["q.w"] = hidden.T @ d_q
-    grads["q.b"] = d_q.sum(axis=0)
-    grads["k.w"] = hidden.T @ d_k
-    grads["k.b"] = d_k.sum(axis=0)
+    grads["q.w"] += hidden.T @ d_q
+    grads["q.b"] += d_q.sum(axis=0)
+    grads["k.w"] += hidden.T @ d_k
+    grads["k.b"] += d_k.sum(axis=0)
     return d_q @ head.params["q.w"].T + d_k @ head.params["k.w"].T
 
 
@@ -506,21 +514,63 @@ def circle_loss_grad(z: np.ndarray, target: np.ndarray, valid: np.ndarray):
 
 # ------------------------------------------------------------- backward ---
 
+# Per-layer encoder tensors in the order ``_encode_bwd`` reaches them.
+_LAYER_BWD_ORDER = (
+    "ffn.w2", "ffn.b2", "ffn.w1", "ffn.b1", "ln2.g", "ln2.b",
+    "attn.wo", "attn.bo", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
+    "attn.wv", "attn.bv", "ln1.g", "ln1.b",
+)
+
+
+def zero_grads(enc: EncoderParams, head: ScoringHead):
+    """Zeroed ``(encoder_grads, head_grads)`` mirroring the parameter dicts,
+    keyed in the order backprop reaches each tensor: the final norm, the
+    layers from last to first, the embeddings, then the head.  Gradient
+    clipping sums squared norms in this order."""
+    cfg = enc.config
+    names = ["lnf.g", "lnf.b"] if cfg.final_norm else []
+    for i in reversed(range(cfg.layers)):
+        names += [f"l{i}.{leaf}" for leaf in _LAYER_BWD_ORDER]
+    names += ["tok_emb", "pos_emb", "type_emb"]
+    return ({name: np.zeros_like(enc.params[name]) for name in names},
+            {name: np.zeros_like(t) for name, t in head.params.items()})
+
+
+def backward_batch(enc: EncoderParams, head: ScoringHead, queries, targets,
+                   grads=None):
+    """Forward pass plus exact reverse-mode gradients for B queries in one
+    padded pass.
+
+    The loss is the sum of each query's circle loss on its own unpadded Z.
+    Gradients are added into ``grads``, an ``(encoder_grads, head_grads)``
+    pair such as the training loop's views of its flat gradient buffer, or
+    into a fresh ``zero_grads`` pair.  Returns ``(loss, encoder_grads,
+    head_grads)``.
+    """
+    enc_grads, head_grads = zero_grads(enc, head) if grads is None else grads
+    hidden, cache = encode_batch(enc, queries, want_cache=True)
+    zs, score_cache = score_batch(head, hidden, queries, want_cache=True)
+    B, n = hidden.shape[:2]
+    d_z = np.zeros((B, n, n), dtype=hidden.dtype)
+    loss = 0.0
+    for b, (query, z, target) in enumerate(zip(queries, zs, targets)):
+        m = len(query)
+        part, d_z[b, :m, :m] = circle_loss_grad(z, target, query.scoring_mask)
+        loss += part
+    d_hidden = _score_bwd(head, score_cache, d_z, head_grads)
+    _encode_bwd(enc, cache, d_hidden, enc_grads)
+    return loss, enc_grads, head_grads
+
+
 def backward(enc: EncoderParams, head: ScoringHead, query: Query,
              target: np.ndarray):
-    """Forward pass plus exact reverse-mode gradients for one query.
+    """Forward pass plus exact reverse-mode gradients for one query:
+    ``backward_batch`` with B = 1.
 
     Returns ``(loss, encoder_grads, head_grads)`` where the grad dicts mirror
     the parameter dicts key for key.
     """
-    hidden, cache = encode(enc, query, want_cache=True)
-    z, score_cache = score(head, hidden, query, want_cache=True)
-    loss, d_z = circle_loss_grad(z, target, query.scoring_mask)
-    enc_grads: dict[str, np.ndarray] = {}
-    head_grads: dict[str, np.ndarray] = {}
-    d_hidden = _score_bwd(head, query, score_cache, d_z, head_grads)
-    _encode_bwd(enc, query, cache, d_hidden, enc_grads)
-    return loss, enc_grads, head_grads
+    return backward_batch(enc, head, [query], [target])
 
 
 def accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import EmptyCorpus, MalformedVocab, OutOfBounds
+from .errors import EmptyCorpus, MalformedVocab, OutOfBounds, read_text
 
 # Reserved tokens, in fixed id order 0..8.  [PAD] (id 0) fills the unused
 # slots of a padded batch (``model.encode_batch``) and never appears in a
@@ -128,20 +128,18 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 def load_vocab(path) -> Vocab:
     vocab = Vocab()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise MalformedVocab(f"line {lineno + 1}: expected token<TAB>id")
-            token, idx = parts[0], int(parts[1])
-            if idx != len(vocab.id_to_token):
-                raise MalformedVocab(f"line {lineno + 1}: ids must be dense and sorted")
-            if token in vocab.token_to_id:
-                raise MalformedVocab(f"line {lineno + 1}: duplicate token {token!r}")
-            vocab.add(token)
+    for lineno, line in enumerate(read_text(path, MalformedVocab).split("\n")):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[1].isdigit():
+            raise MalformedVocab(f"line {lineno + 1}: expected token<TAB>id")
+        token, idx = parts[0], int(parts[1])
+        if idx != len(vocab.id_to_token):
+            raise MalformedVocab(f"line {lineno + 1}: ids must be dense and sorted")
+        if token in vocab.token_to_id:
+            raise MalformedVocab(f"line {lineno + 1}: duplicate token {token!r}")
+        vocab.add(token)
     for i, token in enumerate(RESERVED):
         if i >= len(vocab.id_to_token) or vocab.id_to_token[i] != token:
             raise MalformedVocab(f"reserved token {token} missing from id {i}")

@@ -4,6 +4,7 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import NER_RE_SCHEMA, ner_re_corpus
 from spanlink import engine
@@ -13,7 +14,7 @@ from spanlink.data import save_dataset
 from spanlink.decoding import save_grids
 from spanlink.model import load_checkpoint
 from spanlink.schema import parse_schema
-from spanlink.tokenizer import load_vocab
+from spanlink.tokenizer import build_vocab, load_vocab, save_vocab
 
 
 @pytest.fixture(scope="module")
@@ -334,3 +335,95 @@ def test_eval_default_report_filename(trained, tmp_path, monkeypatch, capsys):
     assert rc == 0
     capsys.readouterr()
     assert os.path.exists("metric_report.json")
+
+
+def test_non_utf8_config_is_a_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"d = 32\n\xff\n")
+    rc = main(["train", "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("cli.BadConfig: ")
+    assert "not UTF-8" in err[0]
+
+
+# Bytes that never occur in UTF-8, whatever surrounds them.
+_NEVER_UTF8 = [0xC0, 0xC1, *range(0xF5, 0x100)]
+_FILE_CODES = {
+    "run.cfg": "cli.BadConfig",
+    "schema.json": "schema.MalformedSchema",
+    "data.jsonl": "data_metrics.MalformedRecord",
+    "vocab.tsv": "tokenize.MalformedVocab",
+}
+
+
+@pytest.fixture
+def readable_workspace(tmp_path):
+    """Config, schema, data and vocabulary files that ``dump-queries`` reads
+    in full, with their pristine bytes."""
+    examples = ner_re_corpus(seed=5, n=4)
+    (tmp_path / "schema.json").write_text(NER_RE_SCHEMA, encoding="utf-8")
+    save_dataset(examples, tmp_path / "data.jsonl")
+    save_vocab(build_vocab([ex.text for ex in examples],
+                           ["person", "organization",
+                            "work for ( organization )"]),
+               tmp_path / "vocab.tsv")
+    (tmp_path / "run.cfg").write_text(
+        f"schema={tmp_path / 'schema.json'}\n"
+        f"data={tmp_path / 'data.jsonl'}\n"
+        f"vocab={tmp_path / 'vocab.tsv'}\n"
+        f"checkpoint={tmp_path / 'model.ckpt'}\n"
+        "max_prompt_len=32\nmax_len=64\n",
+        encoding="utf-8",
+    )
+    assert main(["dump-queries", "--config", str(tmp_path / "run.cfg")]) == 0
+    return tmp_path, {name: (tmp_path / name).read_bytes()
+                      for name in _FILE_CODES}
+
+
+@pytest.mark.parametrize("name", sorted(_FILE_CODES))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bad=st.tuples(st.integers(0, 2**16), st.sampled_from(_NEVER_UTF8)),
+       edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                      max_size=4))
+def test_non_utf8_bytes_in_any_input_file_are_a_one_line_error(
+        readable_workspace, capsys, name, bad, edits):
+    """A config, schema, data or vocabulary file with bytes that are not
+    UTF-8 ends ``spanlink`` with exit status 1 and one stderr line naming
+    the reader's error, never a traceback."""
+    root, pristine = readable_workspace
+    blob = bytearray(pristine[name])
+    for pos, byte in edits:
+        blob[pos % len(blob)] = byte
+    pos, byte = bad
+    blob.insert(pos % (len(blob) + 1), byte)
+    (root / name).write_bytes(bytes(blob))
+    capsys.readouterr()
+    try:
+        rc = main(["dump-queries", "--config", str(root / "run.cfg")])
+    finally:
+        (root / name).write_bytes(pristine[name])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"{_FILE_CODES[name]}: ")
+
+
+def test_diverging_training_stops_at_the_step(workspace, tmp_path, capsys):
+    """A learning rate that blows the parameters up ends training at the
+    first step with a non-finite gradient norm, before AdamW writes NaN
+    into the model, with one ``engine.Diverged`` line naming where."""
+    root, _ = workspace
+    ckpt = tmp_path / "diverged.ckpt"
+    capsys.readouterr()
+    rc = main(["train", "--config", str(root / "run.cfg"),
+               "--set", f"checkpoint={ckpt}", "--set", "lr=1000",
+               "--set", "d=64", "--set", "d_head=64", "--set", "layers=2",
+               "--set", "heads=4", "--set", "epochs=50"])
+    assert rc == 1
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("engine.Diverged: gradient norm is ")
+    assert " at epoch " in last and ", step " in last and "lr=1000" in last
+    assert not ckpt.exists()

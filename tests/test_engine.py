@@ -37,7 +37,7 @@ from spanlink.engine import (
     train,
 )
 from spanlink.errors import OracleExhausted
-from spanlink.model import backward
+from spanlink.model import backward_batch
 from spanlink.query import PrefixGroup
 from spanlink.schema import LevelMode, parse_schema
 from spanlink.tokenizer import tokenize
@@ -435,10 +435,8 @@ def test_train_logs_initial_loss_for_first_epoch(corpus):
     result = train([ex], schema, vocab, cfg)
     rng = np.random.default_rng(cfg.seed)
     enc0, head0 = build_model(cfg, len(vocab), rng)
-    manual = sum(
-        backward(enc0, head0, q, t)[0]
-        for q, t in teacher_forced_queries(ex, schema, vocab, cfg)
-    )
+    queries, targets = zip(*teacher_forced_queries(ex, schema, vocab, cfg))
+    manual = backward_batch(enc0, head0, queries, targets)[0]
     assert result.log[0]["epoch"] == 1
     assert result.log[0]["loss"] == pytest.approx(manual, rel=1e-12)
 

@@ -19,6 +19,7 @@ from spanlink.model import (
     accumulate,
     apply_rope,
     backward,
+    backward_batch,
     circle_loss,
     circle_loss_grad,
     encode,
@@ -30,8 +31,10 @@ from spanlink.model import (
     save_checkpoint,
     score,
     score_batch,
+    zero_grads,
 )
-from spanlink.optim import AdamW
+from spanlink.data import PathElement
+from spanlink.optim import AdamW, _decays, flat_buffers
 from spanlink.query import PrefixGroup, build_target
 from spanlink.schema import LevelMode
 
@@ -366,6 +369,148 @@ def test_batched_scores_equal_single_query_scores(dtype, seed, size):
         assert np.array_equal(np.isneginf(ref), ~q.scoring_mask)
         valid = q.scoring_mask
         assert np.abs(z[valid] - ref[valid]).max() <= 1e-5 * scale
+
+
+def _mixed_batch(rng, vocab, size):
+    """``size`` queries of random length and mode, each with a gold target."""
+    queries, targets = [], []
+    for _ in range(size):
+        text, groups, gold = random_ie_case(rng)
+        mode = _MODES[int(rng.integers(len(_MODES)))]
+        query = query_of(vocab, text, groups, mode=mode)
+        if mode is LevelMode.EXTRACT:
+            gold_by_group = {g: els for g, els in gold.items() if els}
+        else:
+            gold_by_group = {
+                g: [PathElement(str(rng.choice(list(group.types))))]
+                for g, group in enumerate(query.groups)}
+        queries.append(query)
+        targets.append(build_target(query, gold_by_group))
+    return queries, targets
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6))
+def test_batched_backward_equals_summed_single_query_backward(dtype, seed,
+                                                              size):
+    """One padded forward/backward pass over a mix of extract, cls_single
+    and cls_multi queries gives the summed loss and gradients of one pass
+    per query, and adds them into gradient dicts it is handed."""
+    rng = np.random.default_rng(seed)
+    vocab, enc, head = _setup(rng, layers=2, dtype=dtype)
+    for params in (enc.params, head.params):
+        for v in params.values():
+            v *= 4.0
+    queries, targets = _mixed_batch(rng, vocab, size)
+    loss, enc_grads, head_grads = backward_batch(enc, head, queries, targets)
+    ref_loss = 0.0
+    ref_enc, ref_head = zero_grads(enc, head)
+    for query, target in zip(queries, targets):
+        part, ge, gh = backward(enc, head, query, target)
+        ref_loss += part
+        accumulate(ref_enc, ge)
+        accumulate(ref_head, gh)
+    # Padding changes the order of float sums.  The scale is the largest
+    # gradient over all tensors: some tensors' true gradient is zero (a key
+    # bias shifts every logit of a softmax row equally), so per tensor the
+    # rounding noise can read as a relative error of order one.
+    tol = 1e-5 if dtype == "float32" else 1e-12
+    assert loss == pytest.approx(ref_loss, rel=tol)
+    scale = max(np.abs(g).max() for g in [*ref_enc.values(),
+                                           *ref_head.values()])
+    for got, want in ((enc_grads, ref_enc), (head_grads, ref_head)):
+        assert list(got) == list(want)
+        for name, g in got.items():
+            assert g.dtype == np.dtype(dtype), name
+            assert np.abs(g - want[name]).max() <= tol * scale, name
+    # Handed gradient dicts are added into, as training sums chunks.
+    again = backward_batch(enc, head, queries, targets,
+                           (enc_grads, head_grads))
+    assert again[1] is enc_grads and again[2] is head_grads
+    for name, g in ref_enc.items():
+        assert np.abs(enc_grads[name] - 2 * g).max() <= 2 * tol * scale, name
+
+
+def _old_adamw_step(state, params, grads, lr, weight_decay, t):
+    # The per-tensor formula AdamW.step replaced, kept as the reference.
+    bc1 = 1.0 - 0.9 ** t
+    bc2 = 1.0 - 0.999 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m, v = state.setdefault(name, (np.zeros_like(p), np.zeros_like(p)))
+        m += (1.0 - 0.9) * (g - m)
+        v += (1.0 - 0.999) * (g * g - v)
+        update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+        if weight_decay and _decays(name):
+            update = update + weight_decay * p
+        p -= (lr * update).astype(p.dtype)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adamw_in_place_step_is_bitwise_the_formula(dtype):
+    """Per tensor and over flat buffers, six in-place steps give bitwise the
+    parameters of the out-of-place formula, on decayed and undecayed
+    tensors alike."""
+    rng = np.random.default_rng(21)
+    shapes = {"tok_emb": (30, 8), "l0.attn.wq": (8, 8), "l0.attn.bq": (8,),
+              "l0.ln1.g": (8,), "q.w": (8, 4), "k.b": (4,)}
+    assert {_decays(name) for name in shapes} == {True, False}
+    ref = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+    per_tensor = {k: v.copy() for k, v in ref.items()}
+    flat = {k: v.copy() for k, v in ref.items()}
+    buffers = flat_buffers(flat)
+    state = {}
+    opt_tensor = AdamW(lr=3e-2, weight_decay=0.1)
+    opt_flat = AdamW(lr=3e-2, weight_decay=0.1)
+    for t in range(1, 7):
+        grads = {k: rng.normal(size=s).astype(dtype)
+                 for k, s in shapes.items()}
+        flat_grads = {k: g.copy() for k, g in grads.items()}
+        grad_buffers = flat_buffers(flat_grads)
+        factor = t / 6
+        _old_adamw_step(state, ref, grads, 3e-2 * factor, 0.1, t)
+        opt_tensor.step(per_tensor, grads, factor)
+        opt_flat.step(buffers, grad_buffers, factor)
+        for name in shapes:
+            assert per_tensor[name].tobytes() == ref[name].tobytes(), name
+            assert flat[name].tobytes() == ref[name].tobytes(), name
+
+
+def test_flat_buffers_hold_the_params_as_views():
+    rng = np.random.default_rng(22)
+    _, enc, head = _setup(rng, layers=2, dtype="float32")
+    before = {f"enc.{k}": v.copy() for k, v in enc.params.items()}
+    before.update({f"head.{k}": v.copy() for k, v in head.params.items()})
+    buffers = flat_buffers(enc.params, head.params)
+    assert sorted(buffers) == ["float32.b", "float32.w"]
+    assert sum(b.size for b in buffers.values()) == len(
+        np.concatenate([v.ravel() for v in before.values()]))
+    for space, params in (("enc", enc.params), ("head", head.params)):
+        for name, view in params.items():
+            buf = buffers["float32.w" if _decays(name) else "float32.b"]
+            assert np.shares_memory(view, buf), name
+            assert view.dtype == np.float32
+            assert np.array_equal(view, before[f"{space}.{name}"]), name
+    # a write to a buffer shows through the parameter dicts
+    buffers["float32.w"][:] = 7.0
+    buffers["float32.b"][:] = -1.0
+    assert (enc.params["tok_emb"] == 7.0).all()
+    assert (enc.params["l1.attn.wq"] == 7.0).all()
+    assert (head.params["k.w"] == 7.0).all()
+    assert (enc.params["l0.ln1.g"] == -1.0).all()
+    assert (head.params["q.b"] == -1.0).all()
+    # gradient dicts keyed in another order get a buffer layout that lines
+    # up with the parameters' element for element
+    enc_grads, head_grads = zero_grads(enc, head)
+    assert list(enc_grads) != list(enc.params)
+    grad_buffers = flat_buffers(enc_grads, head_grads)
+    for key, buf in buffers.items():
+        buf[:] = np.arange(buf.size)
+        grad_buffers[key][:] = np.arange(buf.size)
+    for name, view in {**enc.params, **head.params}.items():
+        g = enc_grads[name] if name in enc_grads else head_grads[name]
+        assert np.array_equal(g, view), name
 
 
 # -------------------------------------------------------------- checkpoint
