@@ -78,21 +78,21 @@ def decode_ie(z: np.ndarray, query: Query, delta: float = 0.0) -> list[TypedSpan
     """All spans satisfying the three-cell linking rule, deduplicated and
     sorted by (i, j, group, label).
 
-    Per type marker only the rows with a head hit and the columns with a
-    tail hit can hold a span, so the head-tail cells are searched on that
-    sub-grid alone."""
+    Only scored cells are read.  Per type marker only the rows with a head
+    hit and the columns with a tail hit can hold a span, so the head-tail
+    cells are searched on that sub-grid alone."""
     _check_finite(z)
-    hit = (z >= delta) & query.scoring_mask
     t0 = query.text_start
-    t1 = t0 + query.text_len
-    head_tail = hit[t0:t1, t0:t1]
+    t = slice(t0, t0 + query.text_len)
+    heads = (z[t, query.marker_pos] >= delta).T    # [k, text]
+    tails = z[query.marker_pos, t] >= delta        # [k, text]
     spans = []
-    for m in query.type_markers:
-        rows = np.flatnonzero(hit[t0:t1, m.pos])
-        cols = np.flatnonzero(hit[m.pos, t0:t1])
-        if rows.size == 0 or cols.size == 0:
-            continue
-        a, b = np.nonzero(head_tail[np.ix_(rows, cols)])
+    for k in np.flatnonzero(heads.any(axis=1) & tails.any(axis=1)).tolist():
+        m = query.type_markers[k]
+        rows = heads[k].nonzero()[0]
+        cols = tails[k].nonzero()[0]
+        a, b = ((z[t, t][rows[:, None], cols] >= delta)
+                & (rows[:, None] <= cols)).nonzero()
         for i, j in zip(rows[a].tolist(), cols[b].tolist()):
             spans.append(_span_of(query, m.group, m.label, t0 + i, t0 + j))
     spans.sort(key=lambda s: (s.i, s.j, s.group, s.label))

@@ -44,7 +44,7 @@ from .model import (
     zero_grads,
 )
 from .optim import AdamW, clip_grad_norm, flat_buffers, linear_schedule
-from .query import PrefixGroup, Query, build_target, split_query
+from .query import PrefixGroup, Query, build_target, fill_scored, split_query
 from .schema import LevelMode, Schema, children_of
 from .tokenizer import Vocab, tokenize
 
@@ -328,8 +328,9 @@ class GoldScorer:
 
     def __call__(self, query: Query) -> np.ndarray:
         target = self.target_for(query)
-        z = np.where(target == 1, ORACLE_HI, ORACLE_LO).astype(np.float32)
-        z[~query.scoring_mask] = -np.inf
+        z = fill_scored(query, np.full(target.shape, -np.inf, np.float32),
+                        ORACLE_LO)
+        z[target == 1] = ORACLE_HI
         return z
 
 
@@ -444,6 +445,8 @@ def build_model(cfg: Config, vocab_size: int, rng: np.random.Generator):
     return enc, head
 
 
+# Diverged (or decode.NonFiniteScores) reports a blow-up in one line.
+@np.errstate(over="ignore", invalid="ignore")
 def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
           log_fn=None) -> TrainResult:
     """Teacher-forced training: per example, sum circle loss over every

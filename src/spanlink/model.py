@@ -39,7 +39,7 @@ from .errors import (
     OddHeadDim,
     ShapeMismatch,
 )
-from .query import Query
+from .query import K_PAD, Query, fill_scored, isolation_mask
 
 ROPE_BASE = 10000.0
 LN_EPS = 1e-5
@@ -194,8 +194,9 @@ def _masked_softmax_inplace(s, scale: float, bias):
 
 def _check_query(config: EncoderConfig, query: Query) -> None:
     n = len(query)
-    if query.attention_mask.shape != (n, n):
-        raise ShapeMismatch("attention mask shape does not match query length")
+    if any(v.shape != (n,) for v in (query.kinds, query.group_of, query.typeseg_of,
+                                     query.position_ids, query.token_type_ids)):
+        raise ShapeMismatch("segment vector length does not match query length")
     if query.token_ids.max(initial=0) >= config.vocab_size:
         raise DimensionMismatch("token id exceeds vocab size")
     if query.position_ids.max(initial=0) >= config.max_positions:
@@ -211,12 +212,13 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False):
     """Hidden states [B, n_max, d] for B queries in one padded pass.
 
     Row b holds query b in its first ``len(queries[b])`` slots; the rest are
-    [PAD] slots with position and type id 0.  Every row's isolation mask
-    becomes an additive bias (0 where attention is allowed, -inf where it is
-    not, and -inf at every padded key) that all layers and heads share, so a
-    query's hidden states do not depend on what else is in the batch.  Each
-    padded slot attends to key 0 only, which keeps its softmax finite; its
-    outputs are meaningless and callers drop them.
+    [PAD] slots with position and type id 0.  The isolation rules of all
+    rows become one additive bias, built from the padded segment vectors (0
+    where attention is allowed, -inf where it is not, and -inf at every
+    padded key), that all layers and heads share, so a query's hidden states
+    do not depend on what else is in the batch.  Each padded slot attends to
+    key 0 only, which keeps its softmax finite; its outputs are meaningless
+    and callers drop them.
     """
     cfg = enc.config
     for query in queries:
@@ -231,17 +233,17 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False):
     # Token, position and type ids; padded slots keep 0 in all three, and
     # token id 0 is [PAD] in every vocabulary.
     ids = np.zeros((3, B, n), dtype=np.int64)
-    real = np.zeros((B, n), dtype=bool)
-    bias = np.full((B, n, n), -np.inf, dtype=dt)
+    kinds = np.full((B, n), K_PAD, dtype=np.int8)
+    segs = np.full((2, B, n), -1, dtype=np.int64)
     for b, query in enumerate(queries):
         m = len(query)
-        real[b, :m] = True
-        ids[0, b, :m] = query.token_ids
-        ids[1, b, :m] = query.position_ids
-        ids[2, b, :m] = query.token_type_ids
-        bias[b, :m, :m][query.attention_mask] = 0.0
-        bias[b, m:, 0] = 0.0
-    bias = bias[:, None]
+        ids[:, b, :m] = query.token_ids, query.position_ids, query.token_type_ids
+        kinds[b, :m] = query.kinds
+        segs[:, b, :m] = query.group_of, query.typeseg_of
+    real = kinds != K_PAD
+    allowed = isolation_mask(kinds, segs[0], segs[1]) & real[:, None, :]
+    allowed[~real] = np.arange(n) == 0
+    bias = np.where(allowed, dt.type(0), dt.type(-np.inf))[:, None]
 
     # Token rows stay flat, [B * n, d], so every projection is one matmul;
     # only attention sees the batch axis.
@@ -422,9 +424,8 @@ def score_batch(head: ScoringHead, hidden: np.ndarray, queries,
     rq = apply_rope(q, cos, sin)
     rk = apply_rope(k, cos, sin)
     raw = rq.reshape(B, n, -1) @ rk.reshape(B, n, -1).transpose(0, 2, 1)
-    neg_inf = np.array(-np.inf, dtype=raw.dtype)
-    zs = [np.where(query.scoring_mask, raw[b, :len(query), :len(query)], neg_inf)
-          for b, query in enumerate(queries)]
+    zs = [fill_scored(query, np.full((len(query),) * 2, -np.inf, raw.dtype),
+                      raw[b]) for b, query in enumerate(queries)]
     if want_cache:
         return zs, {"hidden": rows, "rq": rq, "rk": rk, "cos": cos, "sin": sin}
     return zs

@@ -32,6 +32,7 @@ tokens are independent of how much prompt precedes them; [CLST] sits at
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,15 +60,25 @@ from .tokenizer import (
     word_split,
 )
 
-# Segment kinds, one per token.
-K_CLS, K_PREFIX, K_TYPE, K_CLST, K_TEXTMARK, K_TEXT, K_SEP = range(7)
+# Segment kinds, one per token; K_PAD only fills padded batch slots.
+K_CLS, K_PREFIX, K_TYPE, K_CLST, K_TEXTMARK, K_TEXT, K_SEP, K_PAD = range(8)
 
 # Per-kind lookup tables, indexed by a query's ``kinds`` array: the token
 # type id, and whether the token attends and is attended everywhere.
 _TOKEN_TYPE_IDS = np.zeros(7, dtype=np.int64)
 _TOKEN_TYPE_IDS[[K_PREFIX, K_TYPE, K_CLST]] = 1, 2, 3
-_IS_GLOBAL = np.zeros(7, dtype=bool)
+_IS_GLOBAL = np.zeros(8, dtype=bool)
 _IS_GLOBAL[[K_CLS, K_SEP, K_CLST, K_TEXTMARK, K_TEXT]] = True
+
+
+def isolation_mask(kinds, group_of, typeseg_of) -> np.ndarray:
+    """[..., n, n] bool: may token i attend token j (one query or a batch)."""
+    is_global = _IS_GLOBAL[kinds]
+    g, t = group_of[..., :, None], typeseg_of[..., :, None]
+    gt, tt = group_of[..., None, :], typeseg_of[..., None, :]
+    cross_typeseg = (t >= 0) & (tt >= 0) & (t != tt)
+    return is_global[..., :, None] | is_global[..., None, :] \
+        | ((g == gt) & (g >= 0) & ~cross_typeseg)
 
 
 def render_prefix(path) -> str:
@@ -101,8 +112,8 @@ class TypeMarker:
 
 @dataclass(frozen=True)
 class Query:
-    """One laid-out query with every encoder input filled; built only by
-    ``make_query`` (or ``split_query``)."""
+    """One laid-out query of O(n) per-token vectors, built only by
+    ``make_query`` (or ``split_query``); n x n masks are derived on read."""
 
     mode: LevelMode
     groups: tuple[PrefixGroup, ...]
@@ -122,11 +133,20 @@ class Query:
     clst_pos: int | None           # None on extraction levels
     position_ids: np.ndarray       # [n] int64
     token_type_ids: np.ndarray     # [n] int64
-    attention_mask: np.ndarray     # [n, n] bool, the isolation rules
-    scoring_mask: np.ndarray       # [n, n] bool, cells the head scores
+    marker_pos: np.ndarray         # [k] int64 positions of the [T] markers
 
     def __len__(self) -> int:
         return len(self.token_ids)
+
+    @cached_property
+    def attention_mask(self) -> np.ndarray:
+        """[n, n] bool, the isolation rules."""
+        return isolation_mask(self.kinds, self.group_of, self.typeseg_of)
+
+    @cached_property
+    def scoring_mask(self) -> np.ndarray:
+        """[n, n] bool, the cells the head scores."""
+        return fill_scored(self, np.zeros((len(self),) * 2, dtype=bool), True)
 
     def text_positions(self) -> range:
         return range(self.text_start, self.text_start + self.text_len)
@@ -143,11 +163,12 @@ def _clst_token(mode: LevelMode) -> str:
 
 
 def make_query(groups, text: TokenizedText, source: str, mode: LevelMode,
-               vocab: Vocab, max_prompt_len: int, max_len: int) -> Query:
-    """Lay out one query and fill its position ids, token type ids,
-    attention mask and scoring mask.  Raises PromptOverflow if the prompt
-    exceeds its budget (callers should fall back to split_query) and
-    TextOverflow if the whole thing cannot fit max_len."""
+               vocab: Vocab, max_prompt_len: int, max_len: int, *,
+               prefixes=None) -> Query:
+    """Lay out one query and fill its position ids and token type ids, given
+    each group's [P] segment ids in ``prefixes`` or tokenizing them here.
+    Raises PromptOverflow if the prompt exceeds its budget (callers should
+    fall back to split_query) and TextOverflow if it cannot fit max_len."""
     groups = tuple(groups)
     if not groups:
         raise EmptyTypeSet("a query needs at least one prefix group")
@@ -173,12 +194,12 @@ def make_query(groups, text: TokenizedText, source: str, mode: LevelMode,
             raise EmptyTypeSet(f"group {g} has no candidate types")
         # A group's prefix runs 1..k ([P] included); each of its type
         # segments restarts at k+1, so siblings share starting positions.
-        prefix = [vocab.id(PREFIX_MARK)] + tokenize(vocab, group.rendered).token_ids
+        prefix = prefixes[g] if prefixes else _prefix_segment(vocab, group)
         put(prefix, K_PREFIX, 1, g)
         for label in group.types:
             markers.append(TypeMarker(pos=len(ids), group=g, label=label))
-            put([vocab.id(TYPE_MARK)] + tokenize(vocab, label).token_ids,
-                K_TYPE, len(prefix) + 1, g, len(markers) - 1)
+            put(_type_segment(vocab, label)[1], K_TYPE, len(prefix) + 1, g,
+                len(markers) - 1)
 
     clst_pos = None
     if mode is not LevelMode.EXTRACT:
@@ -204,63 +225,40 @@ def make_query(groups, text: TokenizedText, source: str, mode: LevelMode,
         raise TextOverflow(f"query needs {n} tokens but max_len is {max_len}")
 
     kinds_arr = np.asarray(kinds, dtype=np.int8)
-    group_arr = np.asarray(group_of, dtype=np.int64)
-    typeseg_arr = np.asarray(typeseg_of, dtype=np.int64)
-
-    is_global = _IS_GLOBAL[kinds_arr]
-    is_type = kinds_arr == K_TYPE
-    same_group = (group_arr[:, None] == group_arr[None, :]) \
-        & (group_arr[:, None] >= 0)
-    cross_typeseg = is_type[:, None] & is_type[None, :] \
-        & (typeseg_arr[:, None] != typeseg_arr[None, :])
-    attention = is_global[:, None] | is_global[None, :] \
-        | (same_group & ~cross_typeseg)
-
-    # Cells the scoring head is responsible for.  Extraction levels use
-    # three regions: head-to-tail text pairs (upper triangle, i <= j),
-    # text-to-[T] (span head linking to its type) and [T]-to-text (type
-    # linking to the span tail).  Classification levels use only the
-    # ([CLST], [T]) cell and its transpose, per candidate label.
-    scoring = np.zeros((n, n), dtype=bool)
-    marker_pos = [m.pos for m in markers]
-    if mode is LevelMode.EXTRACT:
-        t0, t1 = text_start, text_start + text_len
-        idx = np.arange(t0, t1)
-        scoring[t0:t1, t0:t1] = idx[:, None] <= idx[None, :]
-        for k in marker_pos:
-            scoring[t0:t1, k] = True
-            scoring[k, t0:t1] = True
-    else:
-        for k in marker_pos:
-            scoring[clst_pos, k] = True
-            scoring[k, clst_pos] = True
-
     return Query(
         mode=mode, groups=groups, source=source, text=text,
         max_prompt_len=max_prompt_len,
         token_ids=np.asarray(ids, dtype=np.int64), kinds=kinds_arr,
-        group_of=group_arr, typeseg_of=typeseg_arr,
+        group_of=np.asarray(group_of, dtype=np.int64),
+        typeseg_of=np.asarray(typeseg_of, dtype=np.int64),
         type_markers=tuple(markers), esi_len=esi_len,
         text_mark_pos=text_mark_pos, text_start=text_start,
         text_len=text_len, sep_pos=sep_pos, clst_pos=clst_pos,
         position_ids=np.asarray(pos, dtype=np.int64),
         token_type_ids=_TOKEN_TYPE_IDS[kinds_arr],
-        attention_mask=attention, scoring_mask=scoring,
+        marker_pos=np.array([m.pos for m in markers], dtype=np.int64),
     )
 
 
-def _token_span(query: Query, el: PathElement) -> tuple[int, int]:
-    starts = {off[0]: i for i, off in enumerate(query.text.offsets)}
-    ends = {off[1]: i for i, off in enumerate(query.text.offsets)}
-    if el.start not in starts or el.end not in ends:
-        raise MisalignedSpan(
-            f"gold span ({el.start}, {el.end}) of {el.label!r} does not align "
-            f"to token boundaries"
-        )
-    i, j = starts[el.start], ends[el.end]
-    if i > j:
-        raise MisalignedSpan(f"gold span ({el.start}, {el.end}) is inverted")
-    return query.text_start + i, query.text_start + j
+def fill_scored(query: Query, dst: np.ndarray, src) -> np.ndarray:
+    """Write ``src`` (an array in query coordinates, or a scalar) into
+    ``dst`` at the cells the head scores, and return ``dst``: the text
+    block's upper triangle, text-to-[T] and [T]-to-text when extracting,
+    ([CLST], [T]) and its transpose when classifying."""
+    def at(rows, cols):
+        return src[rows, cols] if isinstance(src, np.ndarray) else src
+
+    marks = query.marker_pos
+    if query.mode is LevelMode.EXTRACT:
+        t = slice(query.text_start, query.text_start + query.text_len)
+        idx = np.arange(query.text_len)
+        np.copyto(dst[t, t], at(t, t), where=idx[:, None] <= idx)
+        dst[t, marks] = at(t, marks)
+        dst[marks, t] = at(marks, t)
+    else:
+        dst[query.clst_pos, marks] = at(query.clst_pos, marks)
+        dst[marks, query.clst_pos] = at(marks, query.clst_pos)
+    return dst
 
 
 def build_target(query: Query, gold_by_group) -> np.ndarray:
@@ -274,12 +272,16 @@ def build_target(query: Query, gold_by_group) -> np.ndarray:
     """
     n = len(query)
     target = np.zeros((n, n), dtype=np.uint8)
+    # reversed: a label listed twice keeps its first marker, as marker_at
+    marker_of = {(m.group, m.label): m.pos for m in reversed(query.type_markers)}
+    starts = {s: query.text_start + i for i, (s, _) in enumerate(query.text.offsets)}
+    ends = {e: query.text_start + i for i, (_, e) in enumerate(query.text.offsets)}
     for g, elements in gold_by_group.items():
         if not 0 <= g < len(query.groups):
             raise UnknownGoldType(f"group index {g} out of range")
         for el in elements:
-            marker = query.marker_at(g, el.label)
-            if marker is None:
+            k = marker_of.get((g, el.label))
+            if k is None:
                 raise UnknownGoldType(
                     f"{el.label!r} is not a candidate type of group {g}"
                 )
@@ -288,13 +290,19 @@ def build_target(query: Query, gold_by_group) -> np.ndarray:
                     raise MalformedRecord(
                         f"gold for extraction level lacks a span: {el.label!r}"
                     )
-                i, j = _token_span(query, el)
+                if el.start not in starts or el.end not in ends:
+                    raise MisalignedSpan(
+                        f"gold span ({el.start}, {el.end}) of {el.label!r} "
+                        f"does not align to token boundaries")
+                i, j = starts[el.start], ends[el.end]
+                if i > j:
+                    raise MisalignedSpan(f"gold span ({el.start}, {el.end}) is inverted")
                 target[i, j] = 1
-                target[i, marker.pos] = 1
-                target[marker.pos, j] = 1
+                target[i, k] = 1
+                target[k, j] = 1
             else:
-                target[query.clst_pos, marker.pos] = 1
-                target[marker.pos, query.clst_pos] = 1
+                target[query.clst_pos, k] = 1
+                target[k, query.clst_pos] = 1
     return target
 
 
@@ -306,6 +314,19 @@ def _base_cost(mode: LevelMode) -> int:
 def _segment_cost(rendering: str) -> int:
     """Prompt tokens of one segment: its [P] or [T] marker plus its words."""
     return 1 + len(word_split(rendering))
+
+
+def _prefix_segment(vocab: Vocab, group: PrefixGroup) -> list[int]:
+    return [vocab.id(PREFIX_MARK)] + tokenize(vocab, group.rendered).token_ids
+
+
+def _type_segment(vocab: Vocab, label: str) -> tuple[int, tuple[int, ...]]:
+    """Prompt cost and token ids ([T] first) of a label's segment, cached on
+    the vocabulary, whose ``add`` drops the cache so ids never go stale."""
+    if label not in vocab.segments:
+        vocab.segments[label] = (_segment_cost(label), (
+            vocab.id(TYPE_MARK), *tokenize(vocab, label).token_ids))
+    return vocab.segments[label]
 
 
 def esi_cost(groups, mode: LevelMode) -> int:
@@ -323,7 +344,7 @@ def split_query(groups, text: TokenizedText, source: str, mode: LevelMode,
     Greedy first-fit in input order: a group may reappear in later queries
     with the remaining subset of its types, but no (group, type) pair is
     duplicated or dropped.  When everything fits, the result is a single
-    query identical to make_query's.
+    query identical to make_query's.  Each prefix is tokenized only once.
     """
     groups = tuple(groups)
     if not groups:
@@ -337,7 +358,7 @@ def split_query(groups, text: TokenizedText, source: str, mode: LevelMode,
             raise EmptyTypeSet(f"group {g} has no candidate types")
         group_cost = _segment_cost(group.rendered)
         for label in group.types:
-            type_cost = _segment_cost(label)
+            type_cost = _type_segment(vocab, label)[0]
             extra = type_cost + (group_cost if g not in current else 0)
             if cost + extra > max_prompt_len and current:
                 buckets.append(current)
@@ -352,6 +373,7 @@ def split_query(groups, text: TokenizedText, source: str, mode: LevelMode,
             cost += extra
     buckets.append(current)
 
+    prefixes = [_prefix_segment(vocab, group) for group in groups]
     queries = []
     for bucket in buckets:
         sub = tuple(
@@ -359,7 +381,8 @@ def split_query(groups, text: TokenizedText, source: str, mode: LevelMode,
             for g, labels in bucket.items()
         )
         queries.append(make_query(sub, text, source, mode, vocab,
-                                  max_prompt_len, max_len))
+                                  max_prompt_len, max_len,
+                                  prefixes=[prefixes[g] for g in bucket]))
     return queries
 
 

@@ -37,10 +37,12 @@ _TOKEN_RE = re.compile(r"'?\w+|[^\w\s]+")
 
 @dataclass
 class Vocab:
-    """Token-to-id mapping with dense ids starting at 0."""
+    """Token-to-id mapping with dense ids starting at 0; ``segments`` holds
+    label segments tokenized by ``query`` until ``add`` adds a token."""
 
     token_to_id: dict[str, int] = field(default_factory=dict)
     id_to_token: list[str] = field(default_factory=list)
+    segments: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -48,6 +50,7 @@ class Vocab:
     def add(self, token: str) -> int:
         if token in self.token_to_id:
             return self.token_to_id[token]
+        self.segments.clear()
         idx = len(self.id_to_token)
         self.token_to_id[token] = idx
         self.id_to_token.append(token)

@@ -10,7 +10,16 @@ import numpy as np
 
 from spanlink.config import Config
 from spanlink.data import Example, PathElement
-from spanlink.query import PrefixGroup, make_query
+from spanlink.query import (
+    K_CLS,
+    K_CLST,
+    K_SEP,
+    K_TEXT,
+    K_TEXTMARK,
+    K_TYPE,
+    PrefixGroup,
+    make_query,
+)
 from spanlink.schema import LevelMode
 from spanlink.tokenizer import build_vocab, tokenize, word_split
 
@@ -94,6 +103,37 @@ def query_of(vocab, text, groups, mode=LevelMode.EXTRACT,
              max_prompt_len=32, max_len=64):
     return make_query(groups, tokenize(vocab, text), text, mode, vocab,
                       max_prompt_len, max_len)
+
+
+def reference_masks(q):
+    """``(attention_mask, scoring_mask)`` by the formulas ``make_query``
+    used when it built and stored both masks, kept as the reference for the
+    masks ``Query`` now derives from its segment vectors."""
+    n = len(q)
+    kinds_arr, group_arr, typeseg_arr = q.kinds, q.group_of, q.typeseg_of
+    is_global = np.isin(kinds_arr, [K_CLS, K_SEP, K_CLST, K_TEXTMARK, K_TEXT])
+    is_type = kinds_arr == K_TYPE
+    same_group = (group_arr[:, None] == group_arr[None, :]) \
+        & (group_arr[:, None] >= 0)
+    cross_typeseg = is_type[:, None] & is_type[None, :] \
+        & (typeseg_arr[:, None] != typeseg_arr[None, :])
+    attention = is_global[:, None] | is_global[None, :] \
+        | (same_group & ~cross_typeseg)
+
+    scoring = np.zeros((n, n), dtype=bool)
+    marker_pos = [m.pos for m in q.type_markers]
+    if q.mode is LevelMode.EXTRACT:
+        t0, t1 = q.text_start, q.text_start + q.text_len
+        idx = np.arange(t0, t1)
+        scoring[t0:t1, t0:t1] = idx[:, None] <= idx[None, :]
+        for k in marker_pos:
+            scoring[t0:t1, k] = True
+            scoring[k, t0:t1] = True
+    else:
+        for k in marker_pos:
+            scoring[q.clst_pos, k] = True
+            scoring[k, q.clst_pos] = True
+    return attention, scoring
 
 
 def ner_re_corpus(seed=0, n=50):

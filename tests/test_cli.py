@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -427,3 +428,23 @@ def test_diverging_training_stops_at_the_step(workspace, tmp_path, capsys):
     assert last.startswith("engine.Diverged: gradient norm is ")
     assert " at epoch " in last and ", step " in last and "lr=1000" in last
     assert not ckpt.exists()
+
+
+def test_diverging_training_prints_one_line_and_no_warnings(workspace,
+                                                           tmp_path, capsys):
+    """The float32 overflows on the way to a non-finite gradient norm raise
+    no numpy RuntimeWarning: the ``engine.Diverged`` line is the only
+    thing on stderr."""
+    root, _ = workspace
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--config", str(root / "run.cfg"),
+                   "--set", f"checkpoint={tmp_path / 'diverged.ckpt'}",
+                   "--set", "lr=1000", "--set", "d=64", "--set", "d_head=64",
+                   "--set", "layers=2", "--set", "heads=4",
+                   "--set", "epochs=50"])
+    assert rc == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("engine.Diverged: ")

@@ -385,3 +385,21 @@ def test_mutated_grid_file_loads_or_raises_spanlink_error(tmp_path, edits,
         load_grids(path)
     except SpanlinkError:
         pass
+
+
+def test_decode_ie_reads_only_scored_cells():
+    """Grid files may hold finite scores outside the scoring mask: in the
+    lower triangle, in the prompt, between markers.  decode_ie must read only
+    the scored cells, so it still equals the brute-force oracle."""
+    rng = np.random.default_rng(73)
+    vocab = flat_vocab()
+    found = 0
+    for _ in range(400):
+        text, groups, _ = random_ie_case(rng, max_groups=3)
+        q = query_of(vocab, text, groups, max_prompt_len=40, max_len=96)
+        z = rng.standard_normal((len(q), len(q))).astype(np.float32)
+        delta = float(rng.choice([-0.5, 0.0, 0.5, 1.0]))
+        want = oracle_decode(z, q, delta)
+        assert decode_ie(z, q, delta) == want
+        found += len(want)
+    assert found > 1000

@@ -13,11 +13,15 @@ from conftest import (
     ner_re_corpus,
     ner_re_vocab,
     query_of,
+    random_ie_case,
+    reference_masks,
     small_train_config,
 )
 from spanlink.config import Config
 from spanlink.data import Example, PathElement, path_key
 from spanlink.engine import (
+    ORACLE_HI,
+    ORACLE_LO,
     WINDOW_TOKENS,
     GoldScorer,
     GridScorer,
@@ -492,3 +496,24 @@ def test_extraction_record_golden():
     assert "\n" not in line
     assert line.index('"type"') < line.index('"surface"') < line.index(
         '"start"') < line.index('"end"')
+
+
+@pytest.mark.parametrize("mode", list(LevelMode))
+def test_gold_scorer_z_equals_the_reference_formula(mode):
+    """GoldScorer's Z equals, bit for bit, the formula it used over the
+    stored scoring mask: +10 on target cells, -10 elsewhere, -inf outside
+    the mask."""
+    rng = np.random.default_rng(79)
+    vocab = flat_vocab()
+    for _ in range(300):
+        text, groups, gold = random_ie_case(rng, max_groups=3)
+        paths = [group.path + (el,)
+                 for g, group in enumerate(groups) for el in gold[g]]
+        q = query_of(vocab, text, groups, mode=mode, max_prompt_len=40,
+                     max_len=96)
+        scorer = GoldScorer(paths)
+        target = scorer.target_for(q)
+        want = np.where(target == 1, ORACLE_HI, ORACLE_LO).astype(np.float32)
+        want[~reference_masks(q)[1]] = -np.inf
+        got = scorer(q)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import flat_vocab, query_of, random_ie_case
+from conftest import flat_vocab, query_of, random_ie_case, reference_masks
 from spanlink.errors import (
     CheckpointMismatch,
     DimensionMismatch,
@@ -33,6 +34,7 @@ from spanlink.model import (
     score_batch,
     zero_grads,
 )
+from spanlink import model as model_module
 from spanlink.data import PathElement
 from spanlink.optim import AdamW, _decays, flat_buffers
 from spanlink.query import PrefixGroup, build_target
@@ -623,3 +625,55 @@ def test_mutated_checkpoint_loads_or_raises_spanlink_error(tmp_path, edits,
         load_checkpoint(path)
     except SpanlinkError:
         pass
+
+
+# ---------------------------------------------- bias from segment vectors
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_batched_bias_equals_per_query_scatter(dtype, monkeypatch):
+    """The bias encode_batch builds from the padded segment vectors equals,
+    bit for bit, the old per-query scatter of each stored attention mask
+    into a -inf block, with padded rows open to key 0 only and every padded
+    key at -inf, on mixed, padded batches."""
+    rng = np.random.default_rng(67)
+    vocab, enc, _ = _setup(rng, dtype=dtype)
+    softmax = model_module._masked_softmax_inplace
+    seen = []
+
+    def spy(s, scale, bias):
+        seen.append(bias)
+        return softmax(s, scale, bias)
+
+    monkeypatch.setattr(model_module, "_masked_softmax_inplace", spy)
+    padded = 0
+    for _ in range(300):
+        queries = []
+        for _ in range(int(rng.integers(1, 7))):
+            text, groups, _ = random_ie_case(rng, max_groups=3)
+            mode = _MODES[int(rng.integers(len(_MODES)))]
+            queries.append(query_of(vocab, text, groups, mode=mode,
+                                    max_prompt_len=40, max_len=96))
+        n = max(len(q) for q in queries)
+        want = np.full((len(queries), 1, n, n), -np.inf, dtype=dtype)
+        for b, q in enumerate(queries):
+            m = len(q)
+            want[b, 0, :m, :m][reference_masks(q)[0]] = 0.0
+            want[b, 0, m:, 0] = 0.0
+            padded += n - m
+        seen.clear()
+        encode_batch(enc, queries)
+        assert len(seen) == enc.config.layers
+        assert seen[0].dtype == want.dtype and seen[0].shape == want.shape
+        assert seen[0].tobytes() == want.tobytes()
+    assert padded > 1000
+
+
+@pytest.mark.parametrize("field", ["kinds", "group_of", "typeseg_of",
+                                   "position_ids", "token_type_ids"])
+def test_encode_rejects_a_segment_vector_of_the_wrong_length(field):
+    rng = np.random.default_rng(71)
+    vocab, enc, _ = _setup(rng)
+    q, _ = _rand_query(rng, vocab)
+    bad = dataclasses.replace(q, **{field: getattr(q, field)[:-1]})
+    with pytest.raises(ShapeMismatch):
+        encode(enc, bad)

@@ -3,10 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import TYPE_LABELS, WORDS, flat_vocab, query_of, random_ie_case
+from conftest import (
+    TYPE_LABELS,
+    WORDS,
+    flat_vocab,
+    query_of,
+    random_ie_case,
+    reference_masks,
+)
 from spanlink.data import PathElement
+from spanlink import query as query_module
 from spanlink.errors import (
     EmptyTypeSet,
+    MalformedRecord,
     MisalignedSpan,
     PromptOverflow,
     TextOverflow,
@@ -29,7 +38,7 @@ from spanlink.query import (
     split_query,
 )
 from spanlink.schema import LevelMode
-from spanlink.tokenizer import build_vocab, tokenize
+from spanlink.tokenizer import UNK, build_vocab, tokenize
 
 
 def _mk(vocab, text, groups, mode=LevelMode.EXTRACT, budget=32, max_len=64):
@@ -436,3 +445,146 @@ def test_split_preserves_group_order_within_queries():
     queries = split_query(groups, toks, text, LevelMode.EXTRACT, vocab, 7, 64)
     labels = [label for q in queries for g in q.groups for label in g.types]
     assert labels == ["alpha", "beta", "gamma", "delta"]
+
+
+# ---------------------------------------------- derived masks, label cache
+
+@pytest.mark.parametrize("mode", list(LevelMode))
+def test_derived_masks_equal_the_stored_formulas(mode):
+    """The masks a Query derives on read equal, bit for bit and dtype for
+    dtype, the ones make_query used to build and store, on every query of
+    1,000 random split_query cases per mode (budgets small enough to
+    split)."""
+    rng = np.random.default_rng(43)
+    vocab = flat_vocab()
+    split = 0
+    for _ in range(1000):
+        text, groups, _ = random_ie_case(rng, max_groups=3)
+        queries = split_query(groups, tokenize(vocab, text), text, mode, vocab,
+                              int(rng.integers(12, 64)), 128)
+        split += len(queries) > 1
+        for q in queries:
+            attention, scoring = reference_masks(q)
+            for got, want in ((q.attention_mask, attention),
+                              (q.scoring_mask, scoring)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    assert split > 100
+
+
+def _reference_build_target(query, gold_by_group):
+    """build_target as it was before its maps were built once per call."""
+    def token_span(el):
+        starts = {off[0]: i for i, off in enumerate(query.text.offsets)}
+        ends = {off[1]: i for i, off in enumerate(query.text.offsets)}
+        if el.start not in starts or el.end not in ends:
+            raise MisalignedSpan(
+                f"gold span ({el.start}, {el.end}) of {el.label!r} does not "
+                f"align to token boundaries")
+        i, j = starts[el.start], ends[el.end]
+        if i > j:
+            raise MisalignedSpan(f"gold span ({el.start}, {el.end}) is inverted")
+        return query.text_start + i, query.text_start + j
+
+    n = len(query)
+    target = np.zeros((n, n), dtype=np.uint8)
+    for g, elements in gold_by_group.items():
+        if not 0 <= g < len(query.groups):
+            raise UnknownGoldType(f"group index {g} out of range")
+        for el in elements:
+            marker = query.marker_at(g, el.label)
+            if marker is None:
+                raise UnknownGoldType(
+                    f"{el.label!r} is not a candidate type of group {g}")
+            if query.mode is LevelMode.EXTRACT:
+                if el.label_only:
+                    raise MalformedRecord(
+                        f"gold for extraction level lacks a span: {el.label!r}")
+                i, j = token_span(el)
+                target[i, j] = 1
+                target[i, marker.pos] = 1
+                target[marker.pos, j] = 1
+            else:
+                target[query.clst_pos, marker.pos] = 1
+                target[marker.pos, query.clst_pos] = 1
+    return target
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except (MalformedRecord, MisalignedSpan, UnknownGoldType) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mode", list(LevelMode))
+def test_build_target_equals_reference_including_errors(mode):
+    """Targets and errors (type and message) equal the per-element
+    reference on random golds, a fifth of them corrupted: misaligned or
+    inverted spans, unknown labels, label-only elements, bad group index.
+    Some groups list a label twice; its first marker takes the gold."""
+    rng = np.random.default_rng(59)
+    vocab = flat_vocab()
+    errors = 0
+    for _ in range(600):
+        text, groups, gold = random_ie_case(rng, max_groups=3)
+        if rng.random() < 0.2:
+            groups[0] = PrefixGroup(groups[0].path, groups[0].types * 2)
+        q = query_of(vocab, text, groups, mode=mode, max_prompt_len=64,
+                     max_len=96)
+        gold = {g: list(els) for g, els in gold.items() if els}
+        if gold and rng.random() < 0.2:
+            g = int(rng.choice(list(gold)))
+            el = gold[g][0]
+            gold[g].append([
+                PathElement(el.label, el.start + 1, el.end, el.surface[1:]),
+                PathElement(el.label, el.end + 1, el.start, ""),
+                PathElement("omega", el.start, el.end, el.surface),
+                PathElement(el.label),
+            ][int(rng.integers(4))])
+            if rng.random() < 0.2:
+                gold[len(groups)] = [el]
+        want = _outcome(_reference_build_target, q, gold)
+        assert _outcome(build_target, q, gold) == want
+        errors += isinstance(want, tuple)
+    assert errors > 20
+
+
+def test_cached_label_ids_follow_vocab_add():
+    """A label tokenized while it was unknown is re-tokenized once
+    ``Vocab.add`` gives it a real id."""
+    vocab = flat_vocab()
+    groups = [PrefixGroup((), ("alpha", "zeta"))]
+    before = _mk(vocab, "ant bee", groups)
+    assert "zeta" in vocab.segments
+    pos = before.marker_at(0, "zeta").pos + 1
+    assert before.token_ids[pos] == vocab.id(UNK)
+    zeta = vocab.add("zeta")
+    after = _mk(vocab, "ant bee", groups)
+    assert after.token_ids[pos] == zeta != vocab.id(UNK)
+    assert np.array_equal(np.delete(after.token_ids, pos),
+                          np.delete(before.token_ids, pos))
+
+
+def test_split_query_tokenizes_each_prefix_once(monkeypatch):
+    """With the labels cached, a split_query call tokenizes each group's
+    prefix once, however many sub-queries the group lands in."""
+    vocab = flat_vocab()
+    text = "ant bee"
+    toks = tokenize(vocab, text)
+    groups = [PrefixGroup((), tuple(TYPE_LABELS)),
+              PrefixGroup((PathElement("alpha", 0, 3, "ant"),),
+                          tuple(TYPE_LABELS))]
+    want = split_query(groups, toks, text, LevelMode.EXTRACT, vocab, 10, 64)
+    calls = []
+
+    def counting(v, s):
+        calls.append(s)
+        return tokenize(v, s)
+
+    monkeypatch.setattr(query_module, "tokenize", counting)
+    got = split_query(groups, toks, text, LevelMode.EXTRACT, vocab, 10, 64)
+    assert len(got) > len(groups)
+    assert sorted(calls) == sorted(g.rendered for g in groups)
+    assert [q.token_ids.tolist() for q in got] == \
+        [q.token_ids.tolist() for q in want]
