@@ -35,11 +35,9 @@ from .model import (
     EncoderParams,
     ScoringHead,
     backward_batch,
-    encode,
     encode_batch,
     init_encoder,
     init_head,
-    score,
     score_batch,
     zero_grads,
 )
@@ -292,18 +290,26 @@ def extract(schema: Schema, vocab: Vocab, scorer, text: str,
 # --------------------------------------------------------------- scorers ---
 
 class ModelScorer:
-    """Score queries with the trained encoder + head."""
+    """Score queries with the trained encoder + head.
+
+    The scorer owns the workspace its encoder passes write their
+    activations into (see ``encode_batch``).  Its arrays grow to the largest
+    batch scored and are reused by every later call; the matrices returned
+    are always fresh arrays."""
 
     def __init__(self, enc: EncoderParams, head: ScoringHead):
         self.enc = enc
         self.head = head
+        self.workspace: dict[str, np.ndarray] = {}
 
     def __call__(self, query: Query) -> np.ndarray:
-        return score(self.head, encode(self.enc, query), query)
+        return self.many([query])[0]
 
     def many(self, queries) -> list[np.ndarray]:
         """Score matrices of several queries from one padded pass."""
-        return score_batch(self.head, encode_batch(self.enc, queries), queries)
+        return score_batch(self.head, encode_batch(self.enc, queries,
+                                                   workspace=self.workspace),
+                           queries)
 
 
 class GoldScorer:

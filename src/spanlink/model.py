@@ -148,13 +148,41 @@ def init_head(d_in: int, d_head: int, rng: np.random.Generator,
 
 # ----------------------------------------------------------- primitives ---
 
-def _layernorm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+def _buf(workspace, name, shape, dtype):
+    """An uninitialized array of ``shape``: a fresh one when ``workspace`` is
+    None, else a view of the workspace's flat array ``name``, which is
+    replaced by a larger one when the shape outgrows it."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    flat = workspace.get(name)
+    if flat is None or flat.size < size or flat.dtype != dtype:
+        flat = workspace[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
+
+
+def _affine(x, w, b, out):
+    np.matmul(x, w, out=out)
+    out += b
+    return out
+
+
+def _layernorm(x, g, b, out, workspace=None):
+    """LayerNorm over the rows of ``x``, written into ``out``, which may be
+    ``x`` itself."""
+    dt = x.dtype
+    mu = np.mean(x, axis=-1, keepdims=True,
+                 out=_buf(workspace, "ln.mu", (len(x), 1), dt))
+    xhat = np.subtract(x, mu, out=_buf(workspace, "ln.xhat", x.shape, dt))
+    inv = np.mean(np.multiply(xhat, xhat, out=out), axis=-1, keepdims=True,
+                  out=_buf(workspace, "ln.inv", (len(x), 1), dt))
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, g, out=out)
+    out += b
+    return out, (xhat, inv, g)
 
 
 def _layernorm_bwd(dy, cache):
@@ -167,11 +195,14 @@ def _layernorm_bwd(dy, cache):
     return dx, dg, db
 
 
-def _gelu(x):
-    phi = erf(x * _INV_SQRT2)
+def _gelu(x, workspace=None):
+    phi = np.multiply(x, _INV_SQRT2,
+                      out=_buf(workspace, "gelu.phi", x.shape, x.dtype))
+    erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
-    return x * phi, (x, phi)
+    return np.multiply(x, phi, out=_buf(workspace, "gelu.out", x.shape,
+                                        x.dtype)), (x, phi)
 
 
 def _gelu_bwd(dy, cache):
@@ -208,7 +239,8 @@ def _check_query(config: EncoderConfig, query: Query) -> None:
         raise DimensionMismatch("token type id exceeds table size 4")
 
 
-def encode_batch(enc: EncoderParams, queries, want_cache: bool = False):
+def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
+                 workspace=None):
     """Hidden states [B, n_max, d] for B queries in one padded pass.
 
     Row b holds query b in its first ``len(queries[b])`` slots; the rest are
@@ -219,14 +251,22 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False):
     do not depend on what else is in the batch.  Each padded slot attends to
     key 0 only, which keeps its softmax finite; its outputs are meaningless
     and callers drop them.
+
+    ``workspace`` is a dict the caller keeps between calls, such as
+    ``ModelScorer``'s: every activation of the pass is written into its
+    arrays, which are reused across layers and calls.  A pass that keeps a
+    backward cache (``want_cache``) needs each array kept, so it ignores the
+    workspace.  The returned hidden states are always a fresh array.
     """
     cfg = enc.config
     for query in queries:
         _check_query(cfg, query)
+    ws = None if want_cache else workspace
     p = enc.params
     B, n = len(queries), max(len(q) for q in queries)
     d, H = cfg.d, cfg.heads
     dh = d // H
+    N = B * n
     scale = 1.0 / math.sqrt(dh)
     dt = p["tok_emb"].dtype
 
@@ -243,42 +283,52 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False):
     real = kinds != K_PAD
     allowed = isolation_mask(kinds, segs[0], segs[1]) & real[:, None, :]
     allowed[~real] = np.arange(n) == 0
-    bias = np.where(allowed, dt.type(0), dt.type(-np.inf))[:, None]
+    bias = _buf(ws, "bias", (B, 1, n, n), dt)
+    bias.fill(-np.inf)
+    np.copyto(bias[:, 0], 0.0, where=allowed)
 
     # Token rows stay flat, [B * n, d], so every projection is one matmul;
-    # only attention sees the batch axis.
+    # only attention sees the batch axis.  The residual stream x is the one
+    # array a pass always allocates: it becomes the returned hidden states.
     x = (p["tok_emb"][ids[0]] + p["pos_emb"][ids[1]]
-         + p["type_emb"][ids[2]]).reshape(B * n, d)
+         + p["type_emb"][ids[2]]).reshape(N, d)
 
     def heads(t):
         return t.reshape(B, n, H, dh).transpose(0, 2, 1, 3)
 
     layer_caches = []
     for i in range(cfg.layers):
-        a, ln1c = _layernorm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
-        q4 = heads(a @ p[f"l{i}.attn.wq"] + p[f"l{i}.attn.bq"])
-        k4 = heads(a @ p[f"l{i}.attn.wk"] + p[f"l{i}.attn.bk"])
-        v4 = heads(a @ p[f"l{i}.attn.wv"] + p[f"l{i}.attn.bv"])
-        attn = _masked_softmax_inplace(q4 @ k4.transpose(0, 1, 3, 2), scale, bias)
-        ctx = (attn @ v4).transpose(0, 2, 1, 3).reshape(B * n, d)
-        o = ctx @ p[f"l{i}.attn.wo"] + p[f"l{i}.attn.bo"]
-        x1 = x + o
-        b2_, ln2c = _layernorm(x1, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
-        h = b2_ @ p[f"l{i}.ffn.w1"] + p[f"l{i}.ffn.b1"]
-        gact, gc = _gelu(h)
-        f = gact @ p[f"l{i}.ffn.w2"] + p[f"l{i}.ffn.b2"]
-        x2 = x1 + f
+        a, ln1c = _layernorm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"],
+                             _buf(ws, "a", (N, d), dt), ws)
+        q4, k4, v4 = (heads(_affine(a, p[f"l{i}.attn.w{c}"],
+                                    p[f"l{i}.attn.b{c}"],
+                                    _buf(ws, c, (N, d), dt)))
+                      for c in "qkv")
+        attn = _masked_softmax_inplace(
+            np.matmul(q4, k4.transpose(0, 1, 3, 2),
+                      out=_buf(ws, "s", (B, H, n, n), dt)),
+            scale, bias)
+        ctx = _buf(ws, "ctx", (N, d), dt)
+        np.matmul(attn, v4, out=heads(ctx))
+        x += _affine(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"],
+                     _buf(ws, "proj", (N, d), dt))
+        b2_, ln2c = _layernorm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"],
+                               _buf(ws, "a", (N, d), dt), ws)
+        h = _affine(b2_, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"],
+                    _buf(ws, "h", (N, cfg.ffn_mult * d), dt))
+        gact, gc = _gelu(h, ws)
+        x += _affine(gact, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"],
+                     _buf(ws, "proj", (N, d), dt))
         if want_cache:
             layer_caches.append({
                 "ln1": ln1c, "a": a, "q4": q4, "k4": k4, "v4": v4,
                 "attn": attn, "ctx": ctx, "ln2": ln2c, "b2": b2_,
                 "gelu": gc, "gact": gact,
             })
-        x = x2
 
     lnfc = None
     if cfg.final_norm:
-        x, lnfc = _layernorm(x, p["lnf.g"], p["lnf.b"])
+        x, lnfc = _layernorm(x, p["lnf.g"], p["lnf.b"], x, ws)
 
     hidden = x.reshape(B, n, d)
     if want_cache:
