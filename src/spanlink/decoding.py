@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import BadGridFile, NoCandidates, NonFiniteScores, ShapeMismatch
-from .query import Query
+from .query import Query, fill_scored
 from .schema import LevelMode
 
 
@@ -67,11 +67,12 @@ def _span_of(query: Query, group: int, label: str, iq: int, jq: int) -> TypedSpa
                      surface=query.source[start:end])
 
 
-def _check_finite(z: np.ndarray) -> None:
-    # -inf is the mask value and stays legal; NaN compares false against
-    # every threshold and would decode silently as "no hit".
-    if np.isnan(z).any():
-        raise NonFiniteScores("score matrix holds NaN")
+def _check_finite(z: np.ndarray, query: Query) -> None:
+    # -inf is the mask value and stays legal; NaN in a scored cell compares
+    # false against every threshold and would decode silently as "no hit".
+    nan = np.isnan(z)
+    if nan.any() and fill_scored(query, np.zeros_like(nan), nan).any():
+        raise NonFiniteScores("score matrix holds NaN in a scored cell")
 
 
 def decode_ie(z: np.ndarray, query: Query, delta: float = 0.0) -> list[TypedSpan]:
@@ -81,7 +82,7 @@ def decode_ie(z: np.ndarray, query: Query, delta: float = 0.0) -> list[TypedSpan
     Only scored cells are read.  Per type marker only the rows with a head
     hit and the columns with a tail hit can hold a span, so the head-tail
     cells are searched on that sub-grid alone."""
-    _check_finite(z)
+    _check_finite(z, query)
     t0 = query.text_start
     t = slice(t0, t0 + query.text_len)
     heads = (z[t, query.marker_pos] >= delta).T    # [k, text]
@@ -121,7 +122,7 @@ def cls_products(z: np.ndarray, query: Query) -> list[tuple[int, str, float]]:
     This is the quantity single-label ensembles multiply across sub-queries."""
     if query.clst_pos is None:
         raise NoCandidates("query was not built in a classification mode")
-    _check_finite(z)
+    _check_finite(z, query)
     j = query.clst_pos
     return [
         (m.group, m.label, float(expit(z[j, m.pos])) * float(expit(z[m.pos, j])))
@@ -153,7 +154,7 @@ def decode_cls_multi(z: np.ndarray, query: Query,
     The label set may legitimately be empty."""
     if query.mode is LevelMode.EXTRACT or query.clst_pos is None:
         raise NoCandidates("query was not built in a classification mode")
-    _check_finite(z)
+    _check_finite(z, query)
     j = query.clst_pos
     decisions = []
     for g in range(len(query.groups)):
@@ -184,7 +185,8 @@ def save_grids(path, matrices) -> None:
 
 def load_grids(path) -> list[np.ndarray]:
     """Read every matrix of a grid file.  A header whose body would run past
-    the end of the file raises ``BadGridFile`` before anything is read."""
+    the end of the file raises ``BadGridFile`` before anything is read, and
+    NaN in any cell ``NonFiniteScores`` (-inf marks the cells not scored)."""
     matrices = []
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -201,7 +203,8 @@ def load_grids(path) -> list[np.ndarray]:
             buf = fh.read(nbytes)
             if len(buf) != nbytes:
                 raise BadGridFile(f"truncated grid body ({rows}x{cols})")
-            matrices.append(
-                np.frombuffer(buf, dtype="<f4").reshape(rows, cols).astype(np.float32)
-            )
+            z = np.frombuffer(buf, dtype="<f4").reshape(rows, cols)
+            if np.isnan(z).any():
+                raise NonFiniteScores(f"grid {len(matrices)} holds NaN")
+            matrices.append(z.astype(np.float32))
     return matrices

@@ -28,7 +28,7 @@ import numpy as np
 from .config import Config, eval_task_list
 from .data import Example, PathElement, path_key
 from .decoding import argmax_label, cls_products, decode_cls_multi, decode_ie
-from .errors import Diverged, OracleExhausted
+from .errors import Diverged, NonFiniteScores, OracleExhausted
 from .metrics import MetricReport, corpus_f1, metric_for_task
 from .model import (
     EncoderConfig,
@@ -290,12 +290,8 @@ def extract(schema: Schema, vocab: Vocab, scorer, text: str,
 # --------------------------------------------------------------- scorers ---
 
 class ModelScorer:
-    """Score queries with the trained encoder + head.
-
-    The scorer owns the workspace its encoder passes write their
-    activations into (see ``encode_batch``).  Its arrays grow to the largest
-    batch scored and are reused by every later call; the matrices returned
-    are always fresh arrays."""
+    """Score queries with the trained encoder + head, reusing one workspace
+    (see ``encode_batch``) across every call."""
 
     def __init__(self, enc: EncoderParams, head: ScoringHead):
         self.enc = enc
@@ -307,9 +303,8 @@ class ModelScorer:
 
     def many(self, queries) -> list[np.ndarray]:
         """Score matrices of several queries from one padded pass."""
-        return score_batch(self.head, encode_batch(self.enc, queries,
-                                                   workspace=self.workspace),
-                           queries)
+        hidden = encode_batch(self.enc, queries, workspace=self.workspace)
+        return score_batch(self.head, hidden, queries)
 
 
 class GoldScorer:
@@ -451,7 +446,7 @@ def build_model(cfg: Config, vocab_size: int, rng: np.random.Generator):
     return enc, head
 
 
-# Diverged (or decode.NonFiniteScores) reports a blow-up in one line.
+# Diverged reports a blow-up in one line.
 @np.errstate(over="ignore", invalid="ignore")
 def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
           log_fn=None) -> TrainResult:
@@ -466,7 +461,7 @@ def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
     into the parameter buffers, backprop adds into views of the gradient
     buffers, and AdamW updates each buffer whole.  A step whose gradient
     norm is not finite raises ``Diverged`` before it touches the
-    parameters."""
+    parameters, and so does a self-evaluation that scores NaN."""
     rng = np.random.default_rng(cfg.seed)
     enc, head = build_model(cfg, len(vocab), rng)
     enc_grads, head_grads = zero_grads(enc, head)
@@ -477,6 +472,11 @@ def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
     tasks = eval_task_list(cfg)
     log: list[dict] = []
     step = 0
+
+    def diverged(what):
+        return Diverged(f"{what} at epoch {epoch}, step {step} (lr={cfg.lr:g} "
+                        f"x schedule {lr_factor:.4g}); try a lower lr")
+
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(examples))
         epoch_loss = 0.0
@@ -494,15 +494,16 @@ def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
             lr_factor = linear_schedule(step, total_steps, cfg.warmup_ratio)
             norm = clip_grad_norm({**enc_grads, **head_grads}, cfg.grad_clip)
             if not math.isfinite(norm):
-                raise Diverged(
-                    f"gradient norm is {norm} at epoch {epoch}, step {step} "
-                    f"(lr={cfg.lr:g} x schedule {lr_factor:.4g}); "
-                    f"try a lower lr")
+                raise diverged(f"gradient norm is {norm}")
             opt.step(params, grads, lr_factor)
             epoch_loss += loss
         entry = {"epoch": epoch, "loss": epoch_loss / max(1, len(examples))}
-        reports = evaluate(examples, schema, vocab, ModelScorer(enc, head),
-                           cfg, tasks)
+        try:
+            reports = evaluate(examples, schema, vocab, ModelScorer(enc, head),
+                               cfg, tasks)
+        except NonFiniteScores:
+            raise diverged("gradient norm is finite but self-evaluation "
+                           "scores are NaN") from None
         for task, report in reports.items():
             entry[task] = report.f1
         log.append(entry)

@@ -123,7 +123,7 @@ class BadGridFile(DecodeError):
 
 
 class NonFiniteScores(DecodeError):
-    """A score matrix holds NaN (-inf is legal: it is the mask value)."""
+    """NaN in a score cell a decoder reads, or anywhere in a grid file."""
 
 
 # ---------------------------------------------------------------- engine ---

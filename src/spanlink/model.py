@@ -149,9 +149,7 @@ def init_head(d_in: int, d_head: int, rng: np.random.Generator,
 # ----------------------------------------------------------- primitives ---
 
 def _buf(workspace, name, shape, dtype):
-    """An uninitialized array of ``shape``: a fresh one when ``workspace`` is
-    None, else a view of the workspace's flat array ``name``, which is
-    replaced by a larger one when the shape outgrows it."""
+    """A fresh array, or a view of the workspace's flat array ``name``."""
     if workspace is None:
         return np.empty(shape, dtype)
     size = math.prod(shape)
@@ -162,20 +160,16 @@ def _buf(workspace, name, shape, dtype):
 
 
 def _affine(x, w, b, out):
-    np.matmul(x, w, out=out)
-    out += b
-    return out
+    return np.add(np.matmul(x, w, out=out), b, out=out)
 
 
-def _layernorm(x, g, b, out, workspace=None):
-    """LayerNorm over the rows of ``x``, written into ``out``, which may be
-    ``x`` itself."""
-    dt = x.dtype
-    mu = np.mean(x, axis=-1, keepdims=True,
-                 out=_buf(workspace, "ln.mu", (len(x), 1), dt))
-    xhat = np.subtract(x, mu, out=_buf(workspace, "ln.xhat", x.shape, dt))
+def _layernorm(x, g, b, out, ws=None):
+    """LayerNorm over the rows of ``x``, into ``out``, which may be ``x``."""
+    rows, dt = (len(x), 1), x.dtype
+    mu = np.mean(x, axis=-1, keepdims=True, out=_buf(ws, "ln.mu", rows, dt))
+    xhat = np.subtract(x, mu, out=_buf(ws, "ln.xhat", x.shape, dt))
     inv = np.mean(np.multiply(xhat, xhat, out=out), axis=-1, keepdims=True,
-                  out=_buf(workspace, "ln.inv", (len(x), 1), dt))
+                  out=_buf(ws, "ln.inv", rows, dt))
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -195,14 +189,38 @@ def _layernorm_bwd(dy, cache):
     return dx, dg, db
 
 
-def _gelu(x, workspace=None):
-    phi = np.multiply(x, _INV_SQRT2,
-                      out=_buf(workspace, "gelu.phi", x.shape, x.dtype))
-    erf(phi, out=phi)
+# Eigen's and XLA's float32 erf(u) = u P(u^2) / Q(u^2), highest power first,
+# on u clipped to [-4, 4] (beyond, erf rounds to +-1); Q < 0 on all of it.
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+
+
+def _gelu(x, ws=None):
+    """x Phi(x), Phi(x) = (1 + erf(x / sqrt 2)) / 2: erf from the kernel above
+    in float32, from ``scipy.special.erf`` (the gradient-check reference) in
+    float64."""
+    shape, dt = x.shape, x.dtype
+    phi = np.multiply(x, _INV_SQRT2, out=_buf(ws, "gelu.phi", shape, dt))
+    out = _buf(ws, "gelu.out", shape, dt)
+    if dt == np.float32:
+        np.clip(phi, -4.0, 4.0, out=phi)
+        t = np.multiply(phi, phi, out=_buf(ws, "gelu.t", shape, dt))
+        # Horner steps in out: phi *= P(t), then phi /= Q(t).
+        for coefs, apply in ((_ERF_P, np.multiply), (_ERF_Q, np.divide)):
+            np.multiply(t, coefs[0], out=out)
+            out += coefs[1]
+            for c in coefs[2:]:
+                out *= t
+                out += c
+            apply(phi, out, out=phi)
+    else:
+        erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
-    return np.multiply(x, phi, out=_buf(workspace, "gelu.out", x.shape,
-                                        x.dtype)), (x, phi)
+    return np.multiply(x, phi, out=out), (x, phi)
 
 
 def _gelu_bwd(dy, cache):
@@ -252,11 +270,8 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
     key 0 only, which keeps its softmax finite; its outputs are meaningless
     and callers drop them.
 
-    ``workspace`` is a dict the caller keeps between calls, such as
-    ``ModelScorer``'s: every activation of the pass is written into its
-    arrays, which are reused across layers and calls.  A pass that keeps a
-    backward cache (``want_cache``) needs each array kept, so it ignores the
-    workspace.  The returned hidden states are always a fresh array.
+    Activations go into ``workspace`` (arrays the caller keeps across calls)
+    unless the pass keeps a backward cache; the result is always fresh.
     """
     cfg = enc.config
     for query in queries:
@@ -283,42 +298,36 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
     real = kinds != K_PAD
     allowed = isolation_mask(kinds, segs[0], segs[1]) & real[:, None, :]
     allowed[~real] = np.arange(n) == 0
-    bias = _buf(ws, "bias", (B, 1, n, n), dt)
-    bias.fill(-np.inf)
-    np.copyto(bias[:, 0], 0.0, where=allowed)
+    bias = np.where(allowed, dt.type(0), dt.type(-np.inf))[:, None]
 
     # Token rows stay flat, [B * n, d], so every projection is one matmul;
-    # only attention sees the batch axis.  The residual stream x is the one
-    # array a pass always allocates: it becomes the returned hidden states.
+    # only attention sees the batch axis.  The residual stream x never comes
+    # from the workspace: it becomes the returned hidden states.
     x = (p["tok_emb"][ids[0]] + p["pos_emb"][ids[1]]
          + p["type_emb"][ids[2]]).reshape(N, d)
 
     def heads(t):
         return t.reshape(B, n, H, dh).transpose(0, 2, 1, 3)
 
+    def buf(name, *shape):
+        return _buf(ws, name, shape, dt)
+
     layer_caches = []
     for i in range(cfg.layers):
-        a, ln1c = _layernorm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"],
-                             _buf(ws, "a", (N, d), dt), ws)
-        q4, k4, v4 = (heads(_affine(a, p[f"l{i}.attn.w{c}"],
-                                    p[f"l{i}.attn.b{c}"],
-                                    _buf(ws, c, (N, d), dt)))
-                      for c in "qkv")
-        attn = _masked_softmax_inplace(
-            np.matmul(q4, k4.transpose(0, 1, 3, 2),
-                      out=_buf(ws, "s", (B, H, n, n), dt)),
-            scale, bias)
-        ctx = _buf(ws, "ctx", (N, d), dt)
+        w = {leaf: p[f"l{i}.{leaf}"] for leaf in _LAYER_BWD_ORDER}
+        a, ln1c = _layernorm(x, w["ln1.g"], w["ln1.b"], buf("a", N, d), ws)
+        q4, k4, v4 = (heads(_affine(a, w[f"attn.w{c}"], w[f"attn.b{c}"],
+                                    buf(c, N, d))) for c in "qkv")
+        s = np.matmul(q4, k4.transpose(0, 1, 3, 2), out=buf("s", B, H, n, n))
+        attn = _masked_softmax_inplace(s, scale, bias)
+        ctx = buf("ctx", N, d)
         np.matmul(attn, v4, out=heads(ctx))
-        x += _affine(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"],
-                     _buf(ws, "proj", (N, d), dt))
-        b2_, ln2c = _layernorm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"],
-                               _buf(ws, "a", (N, d), dt), ws)
-        h = _affine(b2_, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"],
-                    _buf(ws, "h", (N, cfg.ffn_mult * d), dt))
+        x += _affine(ctx, w["attn.wo"], w["attn.bo"], buf("proj", N, d))
+        b2_, ln2c = _layernorm(x, w["ln2.g"], w["ln2.b"], buf("a", N, d), ws)
+        # The attention scores are dead by now; h takes their memory.
+        h = _affine(b2_, w["ffn.w1"], w["ffn.b1"], buf("s", N, cfg.ffn_mult * d))
         gact, gc = _gelu(h, ws)
-        x += _affine(gact, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"],
-                     _buf(ws, "proj", (N, d), dt))
+        x += _affine(gact, w["ffn.w2"], w["ffn.b2"], buf("proj", N, d))
         if want_cache:
             layer_caches.append({
                 "ln1": ln1c, "a": a, "q4": q4, "k4": k4, "v4": v4,

@@ -403,3 +403,48 @@ def test_decode_ie_reads_only_scored_cells():
         assert decode_ie(z, q, delta) == want
         found += len(want)
     assert found > 1000
+
+
+_DECODERS = {
+    LevelMode.EXTRACT: decode_ie,
+    LevelMode.CLASSIFY_SINGLE: decode_cls_single,
+    LevelMode.CLASSIFY_MULTI: decode_cls_multi,
+}
+
+
+@pytest.mark.parametrize("mode", list(_DECODERS), ids=lambda m: m.value)
+def test_nan_counts_only_in_scored_cells(mode):
+    """NaN in a cell no rule reads decodes as -inf there does; NaN in any
+    scored cell raises, for every decoder."""
+    rng = np.random.default_rng(107)
+    vocab = flat_vocab()
+    decoder = _DECODERS[mode]
+    for _ in range(4):
+        text, groups, _ = random_ie_case(rng, max_groups=2)
+        q = query_of(vocab, text, groups, mode=mode)
+        z = _rand_scores(rng, q)
+        if mode is not LevelMode.EXTRACT:
+            z *= 4.0  # some labels clear the 0.9 threshold
+        want = decoder(z, q)
+        for i, j in zip(*np.nonzero(~q.scoring_mask)):
+            z2 = z.copy()
+            z2[i, j] = np.nan
+            assert decoder(z2, q) == want
+        for i, j in zip(*np.nonzero(q.scoring_mask)):
+            z2 = z.copy()
+            z2[i, j] = np.nan
+            with pytest.raises(NonFiniteScores):
+                decoder(z2, q)
+
+
+def test_grid_file_with_nan_in_any_cell_is_rejected(tmp_path):
+    """A grid file stores whole matrices with -inf in the cells not scored,
+    so NaN anywhere in one is a corrupt file."""
+    z = np.full((3, 3), -np.inf, dtype=np.float32)
+    z[0, 1] = 2.0
+    path = tmp_path / "scores.grid"
+    bad = z.copy()
+    bad[2, 0] = np.nan
+    save_grids(path, [z, bad])
+    with pytest.raises(NonFiniteScores, match="grid 1 holds NaN"):
+        load_grids(path)

@@ -40,8 +40,9 @@ from spanlink.engine import (
     teacher_forced_queries,
     train,
 )
-from spanlink.errors import OracleExhausted
+from spanlink.errors import Diverged, OracleExhausted
 from spanlink.model import backward_batch
+from spanlink.optim import AdamW
 from spanlink.query import PrefixGroup
 from spanlink.schema import LevelMode, parse_schema
 from spanlink.tokenizer import tokenize
@@ -517,3 +518,27 @@ def test_gold_scorer_z_equals_the_reference_formula(mode):
         want[~reference_masks(q)[1]] = -np.inf
         got = scorer(q)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_train_raises_diverged_when_self_evaluation_scores_nan(corpus,
+                                                               monkeypatch):
+    """A step that leaves the parameters NaN while the gradient norm stayed
+    finite is caught by the epoch's self-evaluation: training raises
+    ``engine.Diverged`` naming the epoch and step, not
+    ``decode.NonFiniteScores``."""
+    examples, vocab, schema = corpus
+    step = AdamW.step
+
+    def blow_up_on_the_epochs_last_step(self, params, grads, lr_factor=1.0):
+        step(self, params, grads, lr_factor)
+        if self.step_count == 3:
+            for p in params.values():
+                p.fill(np.nan)
+
+    monkeypatch.setattr(AdamW, "step", blow_up_on_the_epochs_last_step)
+    with pytest.raises(Diverged) as info:
+        train(examples[:3], schema, vocab, small_train_config(epochs=2))
+    assert info.value.code == "engine.Diverged"
+    assert str(info.value).startswith(
+        "gradient norm is finite but self-evaluation scores are NaN at "
+        "epoch 1, step 3 (lr=")

@@ -2,10 +2,12 @@ import dataclasses
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.special import erf, ndtr
 
 from conftest import flat_vocab, query_of, random_ie_case, reference_masks
 from spanlink.errors import (
@@ -36,6 +38,7 @@ from spanlink.model import (
 )
 from spanlink import model as model_module
 from spanlink.data import PathElement
+from spanlink.engine import ModelScorer
 from spanlink.optim import AdamW, _decays, flat_buffers
 from spanlink.query import PrefixGroup, build_target
 from spanlink.schema import LevelMode
@@ -677,3 +680,173 @@ def test_encode_rejects_a_segment_vector_of_the_wrong_length(field):
     bad = dataclasses.replace(q, **{field: getattr(q, field)[:-1]})
     with pytest.raises(ShapeMismatch):
         encode(enc, bad)
+
+
+# ------------------------------------------------------ scorer workspace
+
+def _scaled_setup(rng, dtype):
+    # Four times the init puts scores near 10 and attention far from
+    # uniform, as in the batching tests above.
+    vocab, enc, head = _setup(rng, layers=2, dtype=dtype)
+    for params in (enc.params, head.params):
+        for v in params.values():
+            v *= 4.0
+    return vocab, enc, head
+
+
+def _batch_of(rng, vocab, size, max_groups=3):
+    queries = []
+    for _ in range(size):
+        text, groups, _ = random_ie_case(rng, max_groups=max_groups)
+        mode = _MODES[int(rng.integers(len(_MODES)))]
+        queries.append(query_of(vocab, text, groups, mode=mode,
+                                max_prompt_len=40, max_len=96))
+    return queries
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_scorer_workspace_gives_the_scores_of_fresh_arrays(dtype):
+    """Over mixed, padded batches whose size and length grow and shrink,
+    ``ModelScorer.many`` (one reused workspace) gives scores bitwise equal
+    to a pass that allocates every array; so does its one-query call."""
+    rng = np.random.default_rng(79)
+    vocab, enc, head = _scaled_setup(rng, dtype)
+    scorer = ModelScorer(enc, head)
+    sizes = []
+    for _ in range(60):
+        queries = _batch_of(rng, vocab, int(rng.integers(1, 7)),
+                            int(rng.integers(1, 4)))
+        zs = scorer.many(queries)
+        want = score_batch(head, encode_batch(enc, queries), queries)
+        sizes.append(len(queries) * max(len(q) for q in queries))
+        for z, ref in zip(zs, want):
+            assert z.dtype == np.dtype(dtype)
+            assert z.tobytes() == ref.tobytes()
+        alone = score(head, encode(enc, queries[0]), queries[0])
+        assert scorer(queries[0]).tobytes() == alone.tobytes()
+    steps = np.diff(sizes)
+    assert (steps > 0).sum() > 10 and (steps < 0).sum() > 10
+    assert all(a.dtype == np.dtype(dtype) for a in scorer.workspace.values())
+
+
+def test_scorer_outputs_share_no_memory_with_the_workspace():
+    """Hidden states and score matrices are fresh arrays: none shares
+    memory with the workspace, and later calls leave them unchanged."""
+    rng = np.random.default_rng(83)
+    vocab, enc, head = _scaled_setup(rng, "float32")
+    scorer = ModelScorer(enc, head)
+    queries = _batch_of(rng, vocab, 4)
+    hidden = encode_batch(enc, queries, workspace=scorer.workspace)
+    zs = scorer.many(queries)
+    kept = [hidden.copy()] + [z.copy() for z in zs]
+    assert scorer.workspace
+    for out in [hidden] + zs:
+        for buf in scorer.workspace.values():
+            assert not np.shares_memory(out, buf)
+    for _ in range(5):
+        scorer.many(_batch_of(rng, vocab, int(rng.integers(1, 6))))
+    for out, copy in zip([hidden] + zs, kept):
+        assert out.tobytes() == copy.tobytes()
+
+
+def test_scorer_workspace_is_reused_at_the_same_or_a_smaller_shape():
+    """A call at the largest shape seen, or below it, takes views of the
+    arrays already there and allocates no new workspace array."""
+    rng = np.random.default_rng(89)
+    vocab, enc, head = _scaled_setup(rng, "float32")
+    scorer = ModelScorer(enc, head)
+    big = _batch_of(rng, vocab, 5)
+    scorer.many(big)
+    arrays = dict(scorer.workspace)
+    scorer.many(big)
+    for size in (1, 3, 5):
+        scorer.many(big[:size])
+        scorer(big[size - 1])
+    assert scorer.workspace.keys() == arrays.keys()
+    assert all(scorer.workspace[k] is a for k, a in arrays.items())
+
+
+def test_training_passes_ignore_a_workspace():
+    """A pass that keeps a backward cache writes nothing into a workspace
+    and returns the cache a pass without one returns."""
+    rng = np.random.default_rng(97)
+    vocab, enc, _ = _scaled_setup(rng, "float32")
+    queries = _batch_of(rng, vocab, 3)
+    workspace = {}
+    hidden, cache = encode_batch(enc, queries, want_cache=True,
+                                 workspace=workspace)
+    ref_hidden, ref_cache = encode_batch(enc, queries, want_cache=True)
+    assert workspace == {}
+    assert hidden.tobytes() == ref_hidden.tobytes()
+    for got, want in zip(cache["layers"], ref_cache["layers"]):
+        for key in ("a", "q4", "k4", "v4", "attn", "ctx", "b2", "gact"):
+            assert got[key].tobytes() == want[key].tobytes()
+
+
+# ------------------------------------------------------------ GELU kernel
+
+def _gelu_grid():
+    """4M evenly spaced points on [-12, 12] and 10^6 N(0, 1) samples, in
+    float32, in chunks."""
+    grid = np.linspace(-12.0, 12.0, 4_000_000, dtype=np.float32)
+    normal = np.random.default_rng(101).standard_normal(1_000_000)
+    for chunk in np.array_split(grid, 4) + [normal.astype(np.float32)]:
+        yield chunk
+
+
+def test_float32_phi_is_within_3e7_of_ndtr():
+    worst = 0.0
+    for x in _gelu_grid():
+        _, (_, phi) = model_module._gelu(x)
+        assert phi.dtype == np.float32
+        ref = ndtr(x.astype(np.float64))
+        worst = max(worst, float(np.abs(phi.astype(np.float64) - ref).max()))
+    assert worst <= 3e-7
+
+
+def test_float32_gelu_is_within_4_ulp_for_nonnegative_x():
+    worst = 0.0
+    for x in _gelu_grid():
+        x = x[x >= 0]
+        if not x.size:
+            continue
+        y, _ = model_module._gelu(x)
+        assert y.dtype == np.float32
+        x64 = x.astype(np.float64)
+        ref = x64 * ndtr(x64)
+        ulp = np.spacing(ref.astype(np.float32)).astype(np.float64)
+        worst = max(worst, float((np.abs(y - ref) / ulp).max()))
+    assert worst <= 4.0
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_gelu_phi_is_exact_at_infinities_and_nan(dtype):
+    x = np.array([-np.inf, np.inf, np.nan, 0.0], dtype=dtype)
+    with np.errstate(invalid="ignore"):  # -inf * 0
+        _, (_, phi) = model_module._gelu(x)
+    assert phi.dtype == np.dtype(dtype)
+    assert phi[0] == 0.0 and phi[1] == 1.0 and np.isnan(phi[2])
+    assert phi[3] == 0.5
+
+
+def test_float32_gelu_warns_nothing_at_the_largest_floats():
+    big = np.finfo(np.float32).max
+    x = np.array([-big, big, -1e30, 1e30], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, (_, phi) = model_module._gelu(x)
+    assert y.dtype == phi.dtype == np.float32
+    assert phi.tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert y[1] == big and y[3] == np.float32(1e30)
+
+
+def test_float64_gelu_is_scipy_erf_bitwise():
+    """float64 keeps the reference formula: Phi from scipy's erf."""
+    x = np.random.default_rng(103).standard_normal(10_000) * 4.0
+    phi = erf(x * (1.0 / math.sqrt(2.0)))
+    phi += 1.0
+    phi *= 0.5
+    y, (cached_x, got_phi) = model_module._gelu(x)
+    assert cached_x is x
+    assert got_phi.tobytes() == phi.tobytes()
+    assert y.tobytes() == (x * phi).tobytes()
