@@ -19,7 +19,8 @@ Everything is plain numpy with hand-written reverse-mode backprop.  All
 computation -- ``encode``, ``score``, the circle-loss gradient and both
 backward passes -- runs in ``EncoderConfig.dtype``: float32 by default, float64
 only for gradient checks.  Constants that meet arrays are Python floats, which
-NumPy's promotion rules never let widen an array.
+NumPy's promotion rules never let widen an array.  GELU's erf is a rational
+kernel in float32 and ``scipy.special.erf`` (the reference) in float64.
 """
 
 from __future__ import annotations
@@ -163,13 +164,16 @@ def _affine(x, w, b, out):
     return np.add(np.matmul(x, w, out=out), b, out=out)
 
 
+def _row_mean(x):
+    # x.mean(axis=-1, keepdims=True) bit for bit, minus np.mean's slow wrapper
+    return np.divide(np.add.reduce(x, axis=-1, keepdims=True), x.shape[-1])
+
+
 def _layernorm(x, g, b, out, ws=None):
     """LayerNorm over the rows of ``x``, into ``out``, which may be ``x``."""
-    rows, dt = (len(x), 1), x.dtype
-    mu = np.mean(x, axis=-1, keepdims=True, out=_buf(ws, "ln.mu", rows, dt))
-    xhat = np.subtract(x, mu, out=_buf(ws, "ln.xhat", x.shape, dt))
-    inv = np.mean(np.multiply(xhat, xhat, out=out), axis=-1, keepdims=True,
-                  out=_buf(ws, "ln.inv", rows, dt))
+    mu = _row_mean(x)
+    xhat = np.subtract(x, mu, out=_buf(ws, "ln.xhat", x.shape, x.dtype))
+    inv = _row_mean(np.multiply(xhat, xhat, out=out))
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -199,14 +203,12 @@ _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
 
 
 def _gelu(x, ws=None):
-    """x Phi(x), Phi(x) = (1 + erf(x / sqrt 2)) / 2: erf from the kernel above
-    in float32, from ``scipy.special.erf`` (the gradient-check reference) in
-    float64."""
+    """x Phi(x) = x (1 + erf(x / sqrt 2)) / 2, erf by dtype as the module says."""
     shape, dt = x.shape, x.dtype
     phi = np.multiply(x, _INV_SQRT2, out=_buf(ws, "gelu.phi", shape, dt))
     out = _buf(ws, "gelu.out", shape, dt)
     if dt == np.float32:
-        np.clip(phi, -4.0, 4.0, out=phi)
+        np.minimum(np.maximum(phi, -4.0, out=phi), 4.0, out=phi)
         t = np.multiply(phi, phi, out=_buf(ws, "gelu.t", shape, dt))
         # Horner steps in out: phi *= P(t), then phi /= Q(t).
         for coefs, apply in ((_ERF_P, np.multiply), (_ERF_Q, np.divide)):
@@ -268,10 +270,8 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
     padded key), that all layers and heads share, so a query's hidden states
     do not depend on what else is in the batch.  Each padded slot attends to
     key 0 only, which keeps its softmax finite; its outputs are meaningless
-    and callers drop them.
-
-    Activations go into ``workspace`` (arrays the caller keeps across calls)
-    unless the pass keeps a backward cache; the result is always fresh.
+    and callers drop them.  Activations go into ``workspace`` (arrays the
+    caller keeps across calls) unless the pass keeps a backward cache.
     """
     cfg = enc.config
     for query in queries:
