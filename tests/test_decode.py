@@ -414,8 +414,8 @@ _DECODERS = {
 
 @pytest.mark.parametrize("mode", list(_DECODERS), ids=lambda m: m.value)
 def test_nan_counts_only_in_scored_cells(mode):
-    """NaN in a cell no rule reads decodes as -inf there does; NaN in any
-    scored cell raises, for every decoder."""
+    """NaN in a cell no rule reads decodes just as -inf in that cell does;
+    NaN in any scored cell raises, for every decoder."""
     rng = np.random.default_rng(107)
     vocab = flat_vocab()
     decoder = _DECODERS[mode]
