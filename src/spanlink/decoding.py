@@ -13,7 +13,9 @@ by brute-force enumeration and exists purely as a correctness oracle.
 Classification reads the [CLST] row/column pair instead: single-label picks
 ``argmax_y sigmoid(Z[j, y]) * sigmoid(Z[y, j])`` (ties break to the lowest
 candidate index), multi-label keeps every label whose both directions exceed
-the classification threshold strictly (0.9 by default).
+the classification threshold strictly (0.9 by default).  The sigmoid is
+``scipy.special.expit``, imported on the first classification decode, so
+extraction decoding never loads scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import BadGridFile, NoCandidates, NonFiniteScores, ShapeMismatch
 from .query import Query, fill_scored
@@ -123,6 +124,8 @@ def cls_products(z: np.ndarray, query: Query) -> list[tuple[int, str, float]]:
     if query.clst_pos is None:
         raise NoCandidates("query was not built in a classification mode")
     _check_finite(z, query)
+    # deferred: scipy.special costs ~24 MB resident and extraction never uses it
+    from scipy.special import expit
     j = query.clst_pos
     return [
         (m.group, m.label, float(expit(z[j, m.pos])) * float(expit(z[m.pos, j])))
@@ -155,6 +158,8 @@ def decode_cls_multi(z: np.ndarray, query: Query,
     if query.mode is LevelMode.EXTRACT or query.clst_pos is None:
         raise NoCandidates("query was not built in a classification mode")
     _check_finite(z, query)
+    # deferred: scipy.special costs ~24 MB resident and extraction never uses it
+    from scipy.special import expit
     j = query.clst_pos
     decisions = []
     for g in range(len(query.groups)):

@@ -20,7 +20,8 @@ computation -- ``encode``, ``score``, the circle-loss gradient and both
 backward passes -- runs in ``EncoderConfig.dtype``: float32 by default, float64
 only for gradient checks.  Constants that meet arrays are Python floats, which
 NumPy's promotion rules never let widen an array.  GELU's erf is a rational
-kernel in float32 and ``scipy.special.erf`` (the reference) in float64.
+kernel in float32 and ``scipy.special.erf`` (the reference) in float64; scipy
+is imported on the first float64 GELU, so float32 models run on numpy alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     CheckpointMismatch,
@@ -43,6 +43,7 @@ from .errors import (
 from .query import K_PAD, Query, fill_scored, isolation_mask
 
 ROPE_BASE = 10000.0
+ROPE_TABLE_ROWS = 4096  # the most positions a head's rotary table covers
 LN_EPS = 1e-5
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -86,6 +87,9 @@ class ScoringHead:
     d_in: int
     d_head: int
     params: dict[str, np.ndarray] = field(default_factory=dict)
+    # dtype -> rotary (cos, sin) for positions 0 .. largest scored: constants
+    # only, so parameter updates never make it stale (see _rope_rows)
+    rope: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -219,6 +223,8 @@ def _gelu(x, ws=None):
                 out += c
             apply(phi, out, out=phi)
     else:
+        # deferred: scipy.special costs ~24 MB resident and float32 never uses it
+        from scipy.special import erf
         erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
@@ -235,9 +241,9 @@ def _masked_softmax_inplace(s, scale: float, bias):
     """Row softmax of ``s * scale + bias``, computed in place in ``s``."""
     s *= scale
     s += bias
-    s -= s.max(axis=-1, keepdims=True)
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
     return s
 
 
@@ -446,6 +452,19 @@ def rope_tables(positions, d_head: int, dtype=np.float64):
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
 
+def _rope_rows(head: ScoringHead, positions, dtype):
+    """``rope_tables(positions, head.d_head, dtype)`` by lookup in the head's
+    table, rebuilt when a position outgrows it; positions outside
+    [0, ROPE_TABLE_ROWS) are computed per call."""
+    top = int(positions.max(initial=0)) + 1
+    if top > ROPE_TABLE_ROWS or positions.min(initial=0) < 0:
+        return rope_tables(positions, head.d_head, dtype)
+    tables = head.rope.get(dtype)
+    if tables is None or len(tables[0]) < top:
+        tables = head.rope[dtype] = rope_tables(np.arange(top), head.d_head, dtype)
+    return tables[0][positions], tables[1][positions]
+
+
 def apply_rope(x, cos, sin):
     """Rotate consecutive coordinate pairs of x by the per-position angles."""
     xe, xo = x[:, 0::2], x[:, 1::2]
@@ -479,7 +498,7 @@ def score_batch(head: ScoringHead, hidden: np.ndarray, queries,
         positions[b, :len(query)] = query.position_ids
     q = rows @ head.params["q.w"] + head.params["q.b"]
     k = rows @ head.params["k.w"] + head.params["k.b"]
-    cos, sin = rope_tables(positions.reshape(-1), head.d_head, dtype=rows.dtype)
+    cos, sin = _rope_rows(head, positions.reshape(-1), rows.dtype)
     rq = apply_rope(q, cos, sin)
     rk = apply_rope(k, cos, sin)
     raw = rq.reshape(B, n, -1) @ rk.reshape(B, n, -1).transpose(0, 2, 1)

@@ -437,6 +437,64 @@ def test_batched_backward_equals_summed_single_query_backward(dtype, seed,
         assert np.abs(enc_grads[name] - 2 * g).max() <= 2 * tol * scale, name
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_rotary_table_lookup_equals_per_call_tables(dtype, monkeypatch):
+    """Scores and head gradients read from the head's rotary table, which
+    grows as the largest position rises from batch to batch, are bitwise
+    those from ``rope_tables`` built on each batch's own positions; a batch
+    within the table reuses it."""
+    rng = np.random.default_rng(109)
+    vocab, enc, head = _scaled_setup(rng, dtype)
+
+    def passes(queries, targets):
+        zs = score_batch(head, encode_batch(enc, queries), queries)
+        loss, _, grads = backward_batch(enc, head, queries, targets)
+        return [z.tobytes() for z in zs], loss, {
+            name: g.tobytes() for name, g in grads.items()}
+
+    top, first = -1, None
+    for _ in range(12):
+        queries, targets = _mixed_batch(rng, vocab, int(rng.integers(1, 5)))
+        base = max(int(q.position_ids.max()) for q in queries)
+        shift = max(0, top + int(rng.integers(1, 8)) - base)
+        queries = [dataclasses.replace(q, position_ids=q.position_ids + shift)
+                   for q in queries]
+        assert base + shift > top
+        top = base + shift
+        got = passes(queries, targets)
+        table = head.rope[np.dtype(dtype)]
+        assert list(head.rope) == [np.dtype(dtype)]
+        assert len(table[0]) == top + 1 and table[0].dtype == np.dtype(dtype)
+        first = first or (queries, targets, got)
+        assert passes(*first[:2]) == first[2]
+        assert head.rope[np.dtype(dtype)] is table
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "_rope_rows", lambda h, pos, dt:
+                      rope_tables(pos, h.d_head, dt))
+            assert passes(queries, targets) == got
+    assert top < enc.config.max_positions
+
+
+def test_rotary_positions_outside_the_table_are_computed_per_call():
+    """Negative positions, and positions past ``ROPE_TABLE_ROWS``, get the
+    bits of ``rope_tables`` and leave the head's table as it was."""
+    rng = np.random.default_rng(113)
+    vocab, enc, head = _setup(rng)
+    q, _ = _rand_query(rng, vocab)
+    h = encode(enc, q)
+    score(head, h, q)
+    table = head.rope[np.dtype(np.float64)]
+    for shift in (-7, model_module.ROPE_TABLE_ROWS, 10**9):
+        moved = dataclasses.replace(q, position_ids=q.position_ids + shift)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(model_module, "_rope_rows", lambda hd, pos, dt:
+                      rope_tables(pos, hd.d_head, dt))
+            want = score(head, h, moved)
+        assert score(head, h, moved).tobytes() == want.tobytes()
+        assert list(head.rope) == [np.dtype(np.float64)]
+        assert head.rope[np.dtype(np.float64)] is table
+
+
 def _old_adamw_step(state, params, grads, lr, weight_decay, t):
     # The per-tensor formula AdamW.step replaced, kept as the reference.
     bc1 = 1.0 - 0.9 ** t
