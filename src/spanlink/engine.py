@@ -459,9 +459,10 @@ def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
     ``BATCH_TOKENS`` padded tokens.  Parameters and gradients live in flat
     buffers (``flat_buffers``): ``enc.params`` and ``head.params`` are views
     into the parameter buffers, backprop adds into views of the gradient
-    buffers, and AdamW updates each buffer whole.  A step whose gradient
-    norm is not finite raises ``Diverged`` before it touches the
-    parameters, and so does a self-evaluation that scores NaN."""
+    buffers, and clipping and AdamW work on each buffer whole.  A step whose
+    gradient norm is not finite raises ``Diverged`` before it touches the
+    parameters, and so does a self-evaluation that scores NaN.  Log entries
+    carry the epoch's mean loss and mean pre-clip gradient norm."""
     rng = np.random.default_rng(cfg.seed)
     enc, head = build_model(cfg, len(vocab), rng)
     enc_grads, head_grads = zero_grads(enc, head)
@@ -472,6 +473,14 @@ def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
     tasks = eval_task_list(cfg)
     log: list[dict] = []
     step = 0
+    # Gold prefixes make an example's pairs the same in every epoch, so each
+    # is built once, its target kept as the positive cells' flat indices.
+    chunks = []
+    for ex in examples:
+        pairs = [(q, np.flatnonzero(t).astype(np.int32))
+                 for q, t in teacher_forced_queries(ex, schema, vocab, cfg)]
+        chunks.append([tuple(zip(*pairs[lo:hi])) for lo, hi in
+                       _chunk_bounds([len(q) for q, _ in pairs], BATCH_TOKENS)])
 
     def diverged(what):
         return Diverged(f"{what} at epoch {epoch}, step {step} (lr={cfg.lr:g} "
@@ -479,25 +488,27 @@ def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(examples))
-        epoch_loss = 0.0
+        epoch_loss = epoch_norm = 0.0
         for idx in order:
-            pairs = teacher_forced_queries(examples[int(idx)], schema, vocab, cfg)
             for g in grads.values():
                 g.fill(0.0)
             loss = 0.0
-            for lo, hi in _chunk_bounds([len(q) for q, _ in pairs],
-                                        BATCH_TOKENS):
-                queries, targets = zip(*pairs[lo:hi])
+            for queries, positives in chunks[int(idx)]:
+                targets = [np.zeros((len(q),) * 2, np.uint8) for q in queries]
+                for target, cells in zip(targets, positives):
+                    target.reshape(-1)[cells] = 1
                 loss += backward_batch(enc, head, queries, targets,
                                        (enc_grads, head_grads))[0]
             step += 1
             lr_factor = linear_schedule(step, total_steps, cfg.warmup_ratio)
-            norm = clip_grad_norm({**enc_grads, **head_grads}, cfg.grad_clip)
+            norm = clip_grad_norm(grads, cfg.grad_clip)
             if not math.isfinite(norm):
                 raise diverged(f"gradient norm is {norm}")
             opt.step(params, grads, lr_factor)
             epoch_loss += loss
-        entry = {"epoch": epoch, "loss": epoch_loss / max(1, len(examples))}
+            epoch_norm += norm
+        entry = {"epoch": epoch, "loss": epoch_loss / max(1, len(examples)),
+                 "grad_norm": epoch_norm / max(1, len(examples))}
         try:
             reports = evaluate(examples, schema, vocab, ModelScorer(enc, head),
                                cfg, tasks)

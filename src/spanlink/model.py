@@ -189,11 +189,10 @@ def _layernorm(x, g, b, out, ws=None):
 
 def _layernorm_bwd(dy, cache):
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(axis=0)
-    db = dy.sum(axis=0)
+    dg = np.add.reduce(dy * xhat, axis=0)
+    db = np.add.reduce(dy, axis=0)
     dxhat = dy * g
-    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
     return dx, dg, db
 
 
@@ -256,11 +255,10 @@ def _check_query(config: EncoderConfig, query: Query) -> None:
         raise ShapeMismatch("segment vector length does not match query length")
     if query.token_ids.max(initial=0) >= config.vocab_size:
         raise DimensionMismatch("token id exceeds vocab size")
-    if query.position_ids.max(initial=0) >= config.max_positions:
-        raise DimensionMismatch(
-            f"position id {int(query.position_ids.max())} exceeds position "
-            f"table of size {config.max_positions}"
-        )
+    pos = query.position_ids
+    if pos.size and not 0 <= pos.min() <= pos.max() < config.max_positions:
+        raise DimensionMismatch(f"position ids run {pos.min()} .. {pos.max()}, "
+                                f"outside a table of {config.max_positions}")
     if query.token_type_ids.max(initial=0) >= 4:
         raise DimensionMismatch("token type id exceeds table size 4")
 
@@ -384,11 +382,11 @@ def _encode_bwd(enc: EncoderParams, cache, d_hidden,
         # FFN block: x2 = x1 + gelu(ln2(x1) @ w1 + b1) @ w2 + b2
         d_f = dx
         grads[f"l{i}.ffn.w2"] += c["gact"].T @ d_f
-        grads[f"l{i}.ffn.b2"] += d_f.sum(axis=0)
+        grads[f"l{i}.ffn.b2"] += np.add.reduce(d_f, axis=0)
         d_gact = d_f @ p[f"l{i}.ffn.w2"].T
         d_h = _gelu_bwd(d_gact, c["gelu"])
         grads[f"l{i}.ffn.w1"] += c["b2"].T @ d_h
-        grads[f"l{i}.ffn.b1"] += d_h.sum(axis=0)
+        grads[f"l{i}.ffn.b1"] += np.add.reduce(d_h, axis=0)
         d_b2 = d_h @ p[f"l{i}.ffn.w1"].T
         d_x1, dg, db = _layernorm_bwd(d_b2, c["ln2"])
         grads[f"l{i}.ln2.g"] += dg
@@ -398,13 +396,13 @@ def _encode_bwd(enc: EncoderParams, cache, d_hidden,
         # Attention block: x1 = x + (attn @ v) @ wo + bo
         d_o = d_x1
         grads[f"l{i}.attn.wo"] += c["ctx"].T @ d_o
-        grads[f"l{i}.attn.bo"] += d_o.sum(axis=0)
+        grads[f"l{i}.attn.bo"] += np.add.reduce(d_o, axis=0)
         d_ctx = (d_o @ p[f"l{i}.attn.wo"].T).reshape(B, n, H, dh) \
             .transpose(0, 2, 1, 3)
         attn = c["attn"]
         d_attn = d_ctx @ c["v4"].transpose(0, 1, 3, 2)
         d_v4 = attn.transpose(0, 1, 3, 2) @ d_ctx
-        d_s = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_s = attn * (d_attn - np.add.reduce(d_attn * attn, -1, keepdims=True))
         d_s = d_s * cache["scale"]
         d_q4 = d_s @ c["k4"]
         d_k4 = d_s.transpose(0, 1, 3, 2) @ c["q4"]
@@ -413,11 +411,11 @@ def _encode_bwd(enc: EncoderParams, cache, d_hidden,
         d_v = d_v4.transpose(0, 2, 1, 3).reshape(B * n, d)
         a = c["a"]
         grads[f"l{i}.attn.wq"] += a.T @ d_q
-        grads[f"l{i}.attn.bq"] += d_q.sum(axis=0)
+        grads[f"l{i}.attn.bq"] += np.add.reduce(d_q, axis=0)
         grads[f"l{i}.attn.wk"] += a.T @ d_k
-        grads[f"l{i}.attn.bk"] += d_k.sum(axis=0)
+        grads[f"l{i}.attn.bk"] += np.add.reduce(d_k, axis=0)
         grads[f"l{i}.attn.wv"] += a.T @ d_v
-        grads[f"l{i}.attn.bv"] += d_v.sum(axis=0)
+        grads[f"l{i}.attn.bv"] += np.add.reduce(d_v, axis=0)
         d_a = (d_q @ p[f"l{i}.attn.wq"].T
                + d_k @ p[f"l{i}.attn.wk"].T
                + d_v @ p[f"l{i}.attn.wv"].T)
@@ -433,9 +431,16 @@ def _encode_bwd(enc: EncoderParams, cache, d_hidden,
     dx = dx[real.reshape(-1)]
     for name, ids in zip(("tok_emb", "pos_emb", "type_emb"),
                          cache["ids"][:, real]):
-        d_emb = np.zeros_like(grads[name])
-        np.add.at(d_emb, ids, dx)
-        grads[name] += d_emb
+        grads[name] += _scatter_rows(np.zeros_like(grads[name]), ids, dx)
+
+
+def _scatter_rows(table, ids, rows):
+    """``np.add.at(table, ids, rows)`` bit for bit, but faster, on the flat
+    table: each element gets its additions in the same order."""
+    d = table.shape[1]
+    flat_ids = (ids[:, None] * d + np.arange(d)).reshape(-1)
+    np.add.at(table.reshape(-1), flat_ids, rows.reshape(-1))
+    return table
 
 
 # --------------------------------------------------------- scoring head ---
@@ -534,9 +539,9 @@ def _score_bwd(head: ScoringHead, cache, d_z, grads: dict[str, np.ndarray]):
     hidden = cache["hidden"]
 
     grads["q.w"] += hidden.T @ d_q
-    grads["q.b"] += d_q.sum(axis=0)
+    grads["q.b"] += np.add.reduce(d_q, axis=0)
     grads["k.w"] += hidden.T @ d_k
-    grads["k.b"] += d_k.sum(axis=0)
+    grads["k.b"] += np.add.reduce(d_k, axis=0)
     return d_q @ head.params["q.w"].T + d_k @ head.params["k.w"].T
 
 
@@ -568,26 +573,17 @@ def circle_loss_grad(z: np.ndarray, target: np.ndarray, valid: np.ndarray):
     if z.shape != target.shape or z.shape != valid.shape:
         raise ShapeMismatch("scores, target and valid mask must share a shape")
     d_z = np.zeros_like(z)
-    neg_mask = valid & (target == 0)
-    pos_mask = valid & (target == 1)
     loss = 0.0
-
-    v = z[neg_mask]
-    if v.size:
-        m = max(float(v.max()), 0.0)
-        e = np.exp(v - m)
-        denom = np.exp(-m) + e.sum()
-        loss += m + float(np.log(denom))
-        d_z[neg_mask] = e / denom
-
-    v = -z[pos_mask]
-    if v.size:
-        m = max(float(v.max()), 0.0)
-        e = np.exp(v - m)
-        denom = np.exp(-m) + e.sum()
-        loss += m + float(np.log(denom))
-        d_z[pos_mask] = -(e / denom)
-
+    # negatives enter as z, positives as -z; a sign of +-1 changes no bit
+    for cells, sign in ((valid & (target == 0), 1.0),
+                        (valid & (target == 1), -1.0)):
+        v = sign * z[cells]
+        if v.size:
+            m = max(float(v.max()), 0.0)
+            e = np.exp(v - m)
+            denom = np.exp(-m) + e.sum()
+            loss += m + float(np.log(denom))
+            d_z[cells] = sign * (e / denom)
     return loss, d_z
 
 
@@ -604,8 +600,7 @@ _LAYER_BWD_ORDER = (
 def zero_grads(enc: EncoderParams, head: ScoringHead):
     """Zeroed ``(encoder_grads, head_grads)`` mirroring the parameter dicts,
     keyed in the order backprop reaches each tensor: the final norm, the
-    layers from last to first, the embeddings, then the head.  Gradient
-    clipping sums squared norms in this order."""
+    layers from last to first, the embeddings, then the head."""
     cfg = enc.config
     names = ["lnf.g", "lnf.b"] if cfg.final_norm else []
     for i in reversed(range(cfg.layers)):
@@ -634,7 +629,9 @@ def backward_batch(enc: EncoderParams, head: ScoringHead, queries, targets,
     loss = 0.0
     for b, (query, z, target) in enumerate(zip(queries, zs, targets)):
         m = len(query)
-        part, d_z[b, :m, :m] = circle_loss_grad(z, target, query.scoring_mask)
+        # not query.scoring_mask: training keeps queries, and it is n x n
+        valid = fill_scored(query, np.zeros((m, m), dtype=bool), True)
+        part, d_z[b, :m, :m] = circle_loss_grad(z, target, valid)
         loss += part
     d_hidden = _score_bwd(head, score_cache, d_z, head_grads)
     _encode_bwd(enc, cache, d_hidden, enc_grads)
@@ -650,15 +647,6 @@ def backward(enc: EncoderParams, head: ScoringHead, query: Query,
     the parameter dicts key for key.
     """
     return backward_batch(enc, head, [query], [target])
-
-
-def accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:
-    """Sum gradient dicts in place (missing keys are adopted)."""
-    for name, g in part.items():
-        if name in total:
-            total[name] += g
-        else:
-            total[name] = g.copy()
 
 
 # ------------------------------------------------------------ checkpoint ---

@@ -11,10 +11,11 @@ import numpy as np
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is <= max_norm.
-    Returns the pre-clip norm."""
+    Returns the pre-clip norm, summed in float64 without float64 copies."""
     total = 0.0
     for g in grads.values():
-        total += float((g.astype(np.float64) ** 2).sum())
+        flat = g.reshape(-1)
+        total += float(np.einsum("i,i->", flat, flat, dtype=np.float64))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm

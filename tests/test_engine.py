@@ -450,8 +450,60 @@ def test_train_log_carries_eval_tasks(corpus):
     examples, vocab, schema = corpus
     cfg = small_train_config(epochs=1, eval_tasks="entity")
     result = train(examples[:2], schema, vocab, cfg)
-    assert set(result.log[0]) == {"epoch", "loss", "entity"}
+    assert set(result.log[0]) == {"epoch", "loss", "grad_norm", "entity"}
     assert 0.0 <= result.log[0]["entity"] <= 1.0
+
+
+def test_train_builds_pairs_once_and_logs_the_mean_grad_norm(corpus,
+                                                            monkeypatch):
+    """Each example's pairs are built once per ``train`` call, not once per
+    epoch; the kept queries never derive an n x n mask; and each log entry
+    carries the mean pre-clip norm of its epoch's steps, right after the
+    loss."""
+    examples, vocab, schema = corpus
+    from spanlink import engine
+    calls, queries, norms = [], [], []
+    build, clip = engine.teacher_forced_queries, engine.clip_grad_norm
+
+    def counted(example, *args):
+        calls.append(example.text)
+        pairs = build(example, *args)
+        queries.extend(query for query, _ in pairs)
+        return pairs
+
+    def recorded(grads, max_norm):
+        norms.append(clip(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(engine, "teacher_forced_queries", counted)
+    monkeypatch.setattr(engine, "clip_grad_norm", recorded)
+    result = train(examples[:3], schema, vocab, small_train_config(epochs=2))
+    assert sorted(calls) == sorted(ex.text for ex in examples[:3])
+    assert queries
+    for query in queries:
+        assert not {"scoring_mask", "attention_mask"} & set(vars(query))
+    assert len(norms) == 6
+    for entry, epoch_norms in zip(result.log, (norms[:3], norms[3:])):
+        assert list(entry)[:3] == ["epoch", "loss", "grad_norm"]
+        assert entry["grad_norm"] == sum(epoch_norms) / 3
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_train_raises_diverged_on_a_non_finite_gradient(corpus, monkeypatch,
+                                                        bad):
+    examples, vocab, schema = corpus
+    from spanlink import engine
+    backward = engine.backward_batch
+
+    def poisoned(enc, head, queries, targets, grads):
+        out = backward(enc, head, queries, targets, grads)
+        grads[0]["tok_emb"][1, 0] = bad
+        return out
+
+    monkeypatch.setattr(engine, "backward_batch", poisoned)
+    with pytest.raises(Diverged, match=rf"^gradient norm is {bad} at epoch 1, "
+                                       r"step 1 \(lr="):
+        train(examples[:2], schema, vocab, small_train_config(epochs=1))
 
 
 def test_model_scorer_shapes(corpus):

@@ -19,7 +19,6 @@ from spanlink.errors import (
 )
 from spanlink.model import (
     EncoderConfig,
-    accumulate,
     apply_rope,
     backward,
     backward_batch,
@@ -39,7 +38,7 @@ from spanlink.model import (
 from spanlink import model as model_module
 from spanlink.data import PathElement
 from spanlink.engine import ModelScorer
-from spanlink.optim import AdamW, _decays, flat_buffers
+from spanlink.optim import AdamW, _decays, clip_grad_norm, flat_buffers
 from spanlink.query import PrefixGroup, build_target
 from spanlink.schema import LevelMode
 
@@ -97,6 +96,21 @@ def test_encode_validates_dimensions():
                              max_positions=4, dtype="float64")
     with pytest.raises(DimensionMismatch):
         encode(init_encoder(tiny_pos, rng), q)
+
+
+def test_encode_rejects_negative_position_ids():
+    """Ids from -1 down to -max_positions would index the position table
+    from its end, and lower ones would fail inside numpy; both ranges end
+    in ``DimensionMismatch``."""
+    rng = np.random.default_rng(2)
+    vocab, enc, _ = _setup(rng)
+    q, _ = _rand_query(rng, vocab)
+    top = int(q.position_ids.max())
+    for shift in (-(top + 1), -(top + 1 + enc.config.max_positions)):
+        moved = dataclasses.replace(q, position_ids=q.position_ids + shift)
+        with pytest.raises(DimensionMismatch, match="outside a table"):
+            encode(enc, moved)
+    assert (q.position_ids - top - 1 >= -enc.config.max_positions).all()
 
 
 def test_isolation_blocks_cross_group_influence():
@@ -297,11 +311,8 @@ def test_backward_gradient_accumulation_is_linear():
     q, gold = _rand_query(rng, vocab)
     target = build_target(q, gold)
     loss1, ge1, gh1 = backward(enc, head, q, target)
-    total_e, total_h = {}, {}
-    accumulate(total_e, ge1)
-    accumulate(total_e, ge1)
-    accumulate(total_h, gh1)
-    accumulate(total_h, gh1)
+    total_e = {k: ge1[k] + ge1[k] for k in ge1}
+    total_h = {k: gh1[k] + gh1[k] for k in gh1}
     for k, v in total_e.items():
         assert np.allclose(v, 2 * ge1[k])
     for k, v in total_h.items():
@@ -414,8 +425,8 @@ def test_batched_backward_equals_summed_single_query_backward(dtype, seed,
     for query, target in zip(queries, targets):
         part, ge, gh = backward(enc, head, query, target)
         ref_loss += part
-        accumulate(ref_enc, ge)
-        accumulate(ref_head, gh)
+        ref_enc = {k: ref_enc[k] + ge[k] for k in ref_enc}
+        ref_head = {k: ref_head[k] + gh[k] for k in ref_head}
     # Padding changes the order of float sums.  The scale is the largest
     # gradient over all tensors: some tensors' true gradient is zero (a key
     # bias shifts every logit of a softmax row equally), so per tensor the
@@ -574,6 +585,52 @@ def test_flat_buffers_hold_the_params_as_views():
     for name, view in {**enc.params, **head.params}.items():
         g = enc_grads[name] if name in enc_grads else head_grads[name]
         assert np.array_equal(g, view), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40),
+       table_rows=st.integers(1, 6), d=st.integers(1, 9))
+def test_flat_scatter_equals_row_scatter_bitwise(dtype, seed, rows,
+                                                 table_rows, d):
+    """The embedding-gradient scatter on the flat table adds each element
+    in the order ``np.add.at`` on the 2-D table does; few table rows make
+    repeated ids the rule."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, table_rows, size=rows)
+    src = rng.normal(size=(rows, d)).astype(dtype) * 10.0 ** rng.integers(
+        -3, 4, size=(rows, 1))
+    start = rng.normal(size=(table_rows, d)).astype(dtype)
+    want = start.copy()
+    np.add.at(want, ids, src)
+    got = model_module._scatter_rows(start.copy(), ids, src)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_clip_over_flat_buffers_matches_per_tensor_norm():
+    """The norm summed over the flat gradient buffers is the float64 norm of
+    the per-tensor gradients, clipping scales every tensor through its
+    view, and a non-finite gradient gives a non-finite norm."""
+    rng = np.random.default_rng(41)
+    _, enc, head = _setup(rng, layers=2, dtype="float32")
+    enc_grads, head_grads = zero_grads(enc, head)
+    grads = flat_buffers(enc_grads, head_grads)
+    for buf in grads.values():
+        buf[:] = rng.normal(size=buf.size) * 10.0 ** rng.integers(
+            -4, 3, size=buf.size)
+    tensors = {**enc_grads, **head_grads}
+    want = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                         for g in tensors.values()))
+    before = {name: g.copy() for name, g in tensors.items()}
+    norm = clip_grad_norm(grads, 1.0)
+    assert norm == pytest.approx(want, rel=1e-12)
+    scale = np.float32(1.0 / norm)
+    for name, g in tensors.items():
+        assert np.array_equal(g, before[name] * scale), name
+    for bad in (np.inf, np.nan):
+        grads["float32.w"][3] = bad
+        with np.errstate(invalid="ignore"):
+            assert not math.isfinite(clip_grad_norm(grads, 1.0))
 
 
 # -------------------------------------------------------------- checkpoint
