@@ -9,6 +9,7 @@ blank lines ignored.  Values are typed by the field they set.  The same
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import BadConfig, read_text
@@ -102,6 +103,10 @@ def load_config(path) -> Config:
 
 
 def validate_config(cfg: Config) -> None:
+    for key in ("delta_ie", "lr", "weight_decay", "warmup_ratio", "grad_clip",
+                "early_stop_f1"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise BadConfig(f"{key} must be finite, got {getattr(cfg, key)}")
     if cfg.max_prompt_len >= cfg.max_len:
         raise BadConfig("max_prompt_len must be smaller than max_len")
     if not 0.0 <= cfg.delta_cls <= 1.0:

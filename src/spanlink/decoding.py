@@ -13,13 +13,18 @@ by brute-force enumeration and exists purely as a correctness oracle.
 Classification reads the [CLST] row/column pair instead: single-label picks
 ``argmax_y sigmoid(Z[j, y]) * sigmoid(Z[y, j])`` (ties break to the lowest
 candidate index), multi-label keeps every label whose both directions exceed
-the classification threshold strictly (0.9 by default).  The sigmoid is
-``scipy.special.expit``, imported on the first classification decode, so
-extraction decoding never loads scipy.
+the classification threshold strictly (0.9 by default).  The sigmoid is the
+expression ``scipy.special.expit`` evaluates, ``1 / (1 + exp(-x))``, with the
+C math library's ``expf`` (float32 scores) or ``exp`` (any other), which are
+the functions expit calls, so every product and decision is bitwise expit's
+without loading ``scipy.special``.  A process without those symbols falls
+back to expit itself.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -118,17 +123,48 @@ def oracle_decode(z: np.ndarray, query: Query, delta: float = 0.0) -> list[Typed
     return spans
 
 
+@functools.cache
+def _sigmoid():
+    """The sigmoid of one score, bitwise ``scipy.special.expit``'s.
+
+    expit computes ``1 / (1 + exp(-x))`` in the input's precision with the C
+    library's ``expf`` or ``exp``; both are bound here from the running
+    process, which links libm already.  numpy's exp is not libm's and gives
+    different last bits.  A float32 score returns ``np.float32``, as expit
+    does, so ``> delta`` still compares in float32; any other score returns
+    ``np.float64``.  Where the process has no such symbols, this is expit.
+    """
+    try:
+        libm = ctypes.CDLL(None)
+        expf, exp = libm.expf, libm.exp
+    except (OSError, AttributeError, TypeError):
+        # No process handle (Windows' CDLL refuses None) or no such symbol.
+        # Deferred: scipy.special costs ~24 MB resident.
+        from scipy.special import expit
+        return expit
+    expf.argtypes, expf.restype = [ctypes.c_float], ctypes.c_float
+    exp.argtypes, exp.restype = [ctypes.c_double], ctypes.c_double
+    f32, f64 = np.float32, np.float64
+    one = f32(1)
+
+    def sigmoid(x):
+        if type(x) is f32:
+            return one / (one + f32(expf(-x)))
+        return f64(1.0 / (1.0 + exp(-float(x))))
+
+    return sigmoid
+
+
 def cls_products(z: np.ndarray, query: Query) -> list[tuple[int, str, float]]:
     """Two-direction sigmoid products for every (group, label) candidate.
     This is the quantity single-label ensembles multiply across sub-queries."""
     if query.clst_pos is None:
         raise NoCandidates("query was not built in a classification mode")
     _check_finite(z, query)
-    # deferred: scipy.special costs ~24 MB resident and extraction never uses it
-    from scipy.special import expit
+    sigmoid = _sigmoid()
     j = query.clst_pos
     return [
-        (m.group, m.label, float(expit(z[j, m.pos])) * float(expit(z[m.pos, j])))
+        (m.group, m.label, float(sigmoid(z[j, m.pos])) * float(sigmoid(z[m.pos, j])))
         for m in query.type_markers
     ]
 
@@ -158,8 +194,7 @@ def decode_cls_multi(z: np.ndarray, query: Query,
     if query.mode is LevelMode.EXTRACT or query.clst_pos is None:
         raise NoCandidates("query was not built in a classification mode")
     _check_finite(z, query)
-    # deferred: scipy.special costs ~24 MB resident and extraction never uses it
-    from scipy.special import expit
+    sigmoid = _sigmoid()
     j = query.clst_pos
     decisions = []
     for g in range(len(query.groups)):
@@ -168,7 +203,7 @@ def decode_cls_multi(z: np.ndarray, query: Query,
             raise NoCandidates(f"group {g} has no candidate labels")
         labels = tuple(
             m.label for m in markers
-            if expit(z[j, m.pos]) > delta and expit(z[m.pos, j]) > delta
+            if sigmoid(z[j, m.pos]) > delta and sigmoid(z[m.pos, j]) > delta
         )
         decisions.append(ClsDecision(group=g, labels=labels))
     return tuple(decisions)

@@ -40,7 +40,7 @@ from .errors import (
     OddHeadDim,
     ShapeMismatch,
 )
-from .query import K_PAD, Query, fill_scored, isolation_mask
+from .query import K_PAD, K_SEP, Query, fill_scored, isolation_mask
 
 ROPE_BASE = 10000.0
 ROPE_TABLE_ROWS = 4096  # the most positions a head's rotary table covers
@@ -253,14 +253,15 @@ def _check_query(config: EncoderConfig, query: Query) -> None:
     if any(v.shape != (n,) for v in (query.kinds, query.group_of, query.typeseg_of,
                                      query.position_ids, query.token_type_ids)):
         raise ShapeMismatch("segment vector length does not match query length")
-    if query.token_ids.max(initial=0) >= config.vocab_size:
-        raise DimensionMismatch("token id exceeds vocab size")
-    pos = query.position_ids
-    if pos.size and not 0 <= pos.min() <= pos.max() < config.max_positions:
-        raise DimensionMismatch(f"position ids run {pos.min()} .. {pos.max()}, "
-                                f"outside a table of {config.max_positions}")
-    if query.token_type_ids.max(initial=0) >= 4:
-        raise DimensionMismatch("token type id exceeds table size 4")
+    for name, ids, size in (("token id", query.token_ids, config.vocab_size),
+                            ("position id", query.position_ids, config.max_positions),
+                            ("token type id", query.token_type_ids, 4),
+                            ("kind", query.kinds, K_SEP + 1)):
+        # One reduction per vector: viewed as unsigned, a negative value
+        # exceeds every bound.  K_PAD marks padded batch slots only.
+        if ids.size and np.maximum.reduce(ids.view(f"u{ids.itemsize}")) >= size:
+            raise DimensionMismatch(f"{name}s run {ids.min()} .. {ids.max()}, "
+                                    f"outside a table of {size}")
 
 
 def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,

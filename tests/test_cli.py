@@ -295,6 +295,19 @@ def test_invalid_dimensions_are_rejected(trained, capsys):
     assert _stderr_code(capsys) == "cli.BadConfig"
 
 
+def test_non_finite_float_override_is_rejected(workspace, capsys):
+    """``float()`` parses nan and inf; training would end in a raw traceback
+    on ``warmup_ratio=nan``, so validation stops it in one stderr line."""
+    root, _ = workspace
+    rc = main(["train", "--config", str(root / "run.cfg"),
+               "--set", "warmup_ratio=nan"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.split(":", 1)[0] == "cli.BadConfig"
+    assert "warmup_ratio must be finite" in err
+
+
 def test_checkpoint_dimension_mismatch(trained, tmp_path, capsys):
     root = trained
     rc = main(["eval", "--config", str(root / "run.cfg"),

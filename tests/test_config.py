@@ -99,6 +99,15 @@ def test_validate_rejections(kw):
         validate_config(Config(**kw))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["delta_ie", "lr", "weight_decay",
+                                 "warmup_ratio", "grad_clip", "early_stop_f1"])
+def test_validate_rejects_non_finite_floats(key, value):
+    cfg = apply_overrides(Config(), [f"{key}={value}"])
+    with pytest.raises(BadConfig, match=f"{key} must be finite"):
+        validate_config(cfg)
+
+
 def test_level_mode_list():
     cfg = Config(level_modes="extract, cls_single ,cls_multi")
     assert level_mode_list(cfg) == [

@@ -16,6 +16,8 @@ from spanlink.decoding import (
     save_grids,
     threshold,
 )
+from spanlink import decoding as decoding_module
+from spanlink.decoding import _sigmoid
 from spanlink.engine import LevelPlan, merge_results
 from spanlink.errors import (
     BadGridFile,
@@ -309,6 +311,88 @@ def test_cls_decoders_reject_nan(decoder):
     z[q.clst_pos, q.type_markers[0].pos] = np.nan
     with pytest.raises(NonFiniteScores):
         decoder(z, q)
+
+
+def _same_bits(got, want):
+    """Elementwise bitwise equality, NaN equal to NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype
+    return bool(np.all((got.view(f"u{got.itemsize}") == want.view(f"u{want.itemsize}"))
+                       | (np.isnan(got) & np.isnan(want))))
+
+
+def _edge_floats(dtype):
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
+    edges = [0.0, np.inf, np.nan, tiny, 2 * tiny, info.tiny - tiny, info.tiny,
+             info.eps, 1.0, info.max]
+    edges += [88.7, 103.97] if dtype == np.float32 else [709.0, 709.78, 745.2]
+    out = np.array(edges, dtype=dtype)
+    with np.errstate(over="ignore"):
+        out = np.concatenate([out, np.nextafter(out, dtype(np.inf)),
+                              np.nextafter(out, dtype(-np.inf))])
+    return np.concatenate([out, -out])
+
+
+@pytest.mark.parametrize("dtype, count", [(np.float32, 10**6),
+                                          (np.float64, 10**5)])
+def test_sigmoid_is_bitwise_expit(dtype, count):
+    """The decoders' sigmoid equals ``scipy.special.expit`` bit for bit, in
+    the input's dtype, on random bit patterns, random scores and the edges:
+    zeros, infinities, NaN, subnormals and where exp overflows or the sigmoid
+    rounds to 0 or 1."""
+    rng = np.random.default_rng(31)
+    uint = np.uint32 if dtype == np.float32 else np.uint64
+    x = np.concatenate([
+        rng.integers(0, np.iinfo(uint).max, size=count // 2, dtype=uint,
+                     endpoint=True).view(dtype),
+        (rng.standard_normal(count - count // 2) * 30).astype(dtype),
+        _edge_floats(dtype),
+    ])
+    sigmoid = _sigmoid()
+    got = [sigmoid(v) for v in x]
+    assert {type(g) for g in got} == {dtype}
+    with np.errstate(all="ignore"):
+        want = expit(x)
+    assert _same_bits(np.array(got, dtype=dtype), want)
+    assert _same_bits(sigmoid(dtype(0.3)), expit(dtype(0.3)))
+
+
+def _no_library(name):
+    raise OSError("no C library in this process")
+
+
+@pytest.mark.parametrize("cdll", [
+    pytest.param(_no_library, id="no-library"),
+    pytest.param(lambda name: object(), id="no-symbol"),
+])
+def test_sigmoid_falls_back_to_expit(monkeypatch, cdll):
+    """Without ``expf``/``exp`` in the process the decoders use expit, and
+    decide exactly as the C library path does."""
+    rng = np.random.default_rng(32)
+    vocab = flat_vocab()
+    single = _cls_query(vocab, labels=("alpha", "beta", "gamma", "delta"))
+    multi = _cls_query(vocab, labels=("alpha", "beta", "gamma", "delta"),
+                       mode=LevelMode.CLASSIFY_MULTI)
+    cases = [(q, np.where(q.scoring_mask, rng.standard_normal((len(q), len(q))) * 4,
+                          -np.inf).astype(dtype))
+             for q in (single, multi) for dtype in (np.float32, np.float64)
+             for _ in range(20)]
+
+    def decode_all():
+        return [(cls_products(z, q), decode_cls_single(z, q),
+                 decode_cls_multi(z, q, 0.5)) for q, z in cases]
+
+    want = decode_all()
+    monkeypatch.setattr(decoding_module.ctypes, "CDLL", cdll)
+    _sigmoid.cache_clear()
+    try:
+        assert _sigmoid() is expit
+        assert decode_all() == want
+    finally:
+        monkeypatch.undo()
+        _sigmoid.cache_clear()
+    assert _sigmoid() is not expit
 
 
 def test_decode_ie_rejects_nan():

@@ -1,4 +1,4 @@
-"""scipy.special stays off the runtime import path until a caller needs it.
+"""scipy.special stays off the runtime import path until float64 GELU needs it.
 
 The pytest process has imported scipy itself, so the check runs in a fresh
 interpreter against the package in ``src``.
@@ -21,7 +21,7 @@ import spanlink
 import spanlink.cli
 from spanlink.config import Config
 from spanlink.data import Example, PathElement
-from spanlink.decoding import cls_products, decode_cls_single
+from spanlink.decoding import cls_products, decode_cls_multi, decode_cls_single
 from spanlink.engine import ModelScorer, extract, train
 from spanlink.model import _gelu
 from spanlink.query import PrefixGroup, make_query
@@ -56,6 +56,8 @@ query = make_query([PrefixGroup((), ("person", "organization"))],
                    32, 64)
 z = np.random.default_rng(0).normal(size=(len(query),) * 2)
 decision = decode_cls_single(z, query)
+multi = decode_cls_multi(z.astype(np.float32), query, 0.5)
+assert "scipy.special" not in sys.modules, "loaded by classification"
 x = np.random.default_rng(1).standard_normal(1000) * 4.0
 y, (_, phi) = _gelu(x)
 assert "scipy.special" in sys.modules
@@ -67,6 +69,10 @@ products = [float(expit(z[j, m.pos])) * float(expit(z[m.pos, j]))
 assert [p for _, _, p in cls_products(z, query)] == products
 best = query.type_markers[int(np.argmax(products))].label
 assert decision[0].labels == (best,), (decision, products)
+z32 = z.astype(np.float32)
+assert multi[0].labels == tuple(
+    m.label for m in query.type_markers
+    if expit(z32[j, m.pos]) > 0.5 and expit(z32[m.pos, j]) > 0.5)
 want = erf(x * (1.0 / math.sqrt(2.0)))
 want += 1.0
 want *= 0.5
@@ -76,7 +82,7 @@ print("ok")
 '''
 
 
-def test_scipy_special_loads_only_for_float64_gelu_and_classification():
+def test_scipy_special_loads_only_for_float64_gelu():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")

@@ -39,7 +39,7 @@ from spanlink import model as model_module
 from spanlink.data import PathElement
 from spanlink.engine import ModelScorer
 from spanlink.optim import AdamW, _decays, clip_grad_norm, flat_buffers
-from spanlink.query import PrefixGroup, build_target
+from spanlink.query import K_PAD, K_SEP, PrefixGroup, build_target
 from spanlink.schema import LevelMode
 
 
@@ -111,6 +111,24 @@ def test_encode_rejects_negative_position_ids():
         with pytest.raises(DimensionMismatch, match="outside a table"):
             encode(enc, moved)
     assert (q.position_ids - top - 1 >= -enc.config.max_positions).all()
+
+
+@pytest.mark.parametrize("field", ["token_ids", "token_type_ids", "kinds"])
+def test_encode_rejects_ids_and_kinds_out_of_range(field):
+    """A value of -1 would read the last table row (or, as a kind, mark a
+    real token as padding) and lower or too-high values would fail inside
+    numpy; every such value ends in ``DimensionMismatch``."""
+    rng = np.random.default_rng(5)
+    vocab, enc, _ = _setup(rng)
+    q, _ = _rand_query(rng, vocab)
+    values = {"token_ids": (-1, -10**6, enc.config.vocab_size, 10**6),
+              "token_type_ids": (-1, -10**6, 4, 10**6),
+              "kinds": (-1, -100, K_PAD, K_SEP + 2)}[field]
+    for value in values:
+        bad = getattr(q, field).copy()
+        bad[len(bad) // 2] = value
+        with pytest.raises(DimensionMismatch, match="outside a table"):
+            encode(enc, dataclasses.replace(q, **{field: bad}))
 
 
 def test_isolation_blocks_cross_group_influence():
