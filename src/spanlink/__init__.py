@@ -24,7 +24,7 @@ Quick taste::
 """
 
 from .config import Config, format_config, load_config, parse_config
-from .data import Example, PathElement, convert_conll04_record, load_dataset, save_dataset
+from .data import Example, PathElement, load_dataset, save_dataset
 from .decoding import (
     ClsDecision,
     TypedSpan,
@@ -70,7 +70,7 @@ from .query import (
     split_query,
 )
 from .schema import LevelMode, Schema, SchemaNode, children_of, parse_schema, render_schema, validate_schema
-from .tokenizer import Vocab, build_vocab, load_vocab, save_vocab, span_text, tokenize
+from .tokenizer import Vocab, build_vocab, load_vocab, save_vocab, tokenize
 
 __version__ = "0.1.0"
 
@@ -80,14 +80,13 @@ __all__ = [
     "ModelScorer", "PathElement", "PrefixGroup", "Query", "Schema",
     "SchemaNode", "ScoringHead", "SpanlinkError", "TypedSpan", "Vocab",
     "backward", "backward_batch", "build_target", "build_vocab",
-    "children_of", "circle_loss", "convert_conll04_record", "corpus_f1",
-    "decode_cls_multi",
+    "children_of", "circle_loss", "corpus_f1", "decode_cls_multi",
     "decode_cls_single", "decode_ie", "encode", "evaluate", "extract",
     "format_config", "init_encoder", "init_head", "load_checkpoint",
     "load_config", "load_dataset", "load_grids", "load_vocab",
     "make_query", "metric_for_task", "oracle_decode", "parse_config",
     "parse_schema", "render_query", "render_schema", "save_checkpoint",
-    "save_dataset", "save_grids", "save_vocab", "score", "span_text",
+    "save_dataset", "save_grids", "save_vocab", "score",
     "split_query", "strict_match_f1", "threshold", "tokenize", "train",
     "validate_schema",
 ]

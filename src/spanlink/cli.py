@@ -175,6 +175,7 @@ def cmd_extract(cfg: Config, texts, oracle_path: str | None,
                     for query in recorder.queries:
                         print(render_query(query))
                     recorder.queries.clear()
+                    recorder.matrices.clear()
                 sink.write(engine.extraction_record(text, paths) + "\n")
         else:
             for text, paths in zip(texts, engine.extract_many(
@@ -190,20 +191,14 @@ def cmd_dump_queries(cfg: Config, level: int | None) -> int:
     """Render the teacher-forced queries for every record in the data file,
     level by level, using gold prefixes in record order."""
     schema = _load_schema(cfg)
+    if level is not None and not 1 <= level <= schema.depth:
+        raise BadConfig(f"--level must lie in [1, {schema.depth}], got {level}")
     vocab = _obtain_vocab(cfg, schema, build=True)
     examples = load_dataset(cfg.data, schema=schema, vocab=vocab)
-    from .tokenizer import tokenize
-
     for ex in examples:
-        toks = tokenize(vocab, ex.text)
-        for lvl in range(1, schema.depth + 1):
-            if level is not None and lvl != level:
-                continue
-            prefixes = engine.gold_prefixes(ex.paths, schema, lvl)
-            if not prefixes:
-                continue
-            plan = engine.plan_level(schema, prefixes, toks, ex.text, vocab, cfg)
-            for query in plan.queries:
+        for query, _ in engine.teacher_forced_queries(ex, schema, vocab, cfg):
+            # a query's groups all extend prefixes one level up
+            if level is None or len(query.groups[0].path) + 1 == level:
                 print(render_query(query))
     return 0
 
@@ -254,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="render teacher-forced queries from gold data")
     common(p_dump)
     p_dump.add_argument("--level", type=int, default=None,
-                        help="only this schema level (1-based)")
+                        help="only this schema level, 1 to the schema depth")
 
     return parser
 

@@ -64,16 +64,21 @@ def _coerce(key: str, value: str):
         raise BadConfig(f"value for {key} must be {kind}: {value!r}") from None
 
 
+def _set(cfg: Config, item: str, where: str) -> None:
+    """Apply one ``key=value`` string; ``where`` opens every error message."""
+    if "=" not in item:
+        raise BadConfig(f"{where}: expected key=value, got {item!r}")
+    key, value = item.split("=", 1)
+    key = key.strip()
+    if key not in _FIELDS:
+        raise BadConfig(f"{where}: unknown config key {key!r}")
+    setattr(cfg, key, _coerce(key, value.strip()))
+
+
 def apply_overrides(cfg: Config, overrides) -> Config:
     """Apply ``key=value`` strings on top of a config, left to right."""
     for item in overrides:
-        if "=" not in item:
-            raise BadConfig(f"override must look like key=value: {item!r}")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise BadConfig(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, value.strip()))
+        _set(cfg, item, "override")
     return cfg
 
 
@@ -81,15 +86,8 @@ def parse_config(text: str) -> Config:
     cfg = Config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise BadConfig(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise BadConfig(f"line {lineno}: unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, value.strip()))
+        if line and not line.startswith("#"):
+            _set(cfg, line, f"line {lineno}")
     return cfg
 
 

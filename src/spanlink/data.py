@@ -95,12 +95,13 @@ def _validate_against_schema(example: Example, schema: Schema) -> None:
                     f"{node.label or '<root>'!r}"
                 )
             node = node.children[el.label]
-            expected = _MODE_FOR_LEVEL[node.mode]
-            if node.mode is LevelMode.EXTRACT and el.label_only:
+            mode = schema.modes[d]
+            expected = _MODE_FOR_LEVEL[mode]
+            if mode is LevelMode.EXTRACT and el.label_only:
                 raise MalformedRecord(
                     f"path {p} depth {d + 1}: extraction level requires a span"
                 )
-            if node.mode is not LevelMode.EXTRACT and not el.label_only:
+            if mode is not LevelMode.EXTRACT and not el.label_only:
                 raise MalformedRecord(
                     f"path {p} depth {d + 1}: classification level must be label_only"
                 )
@@ -192,51 +193,3 @@ def save_dataset(examples, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
             fh.write(format_record(ex) + "\n")
-
-
-def fold_relation_label(relation: str, object_type: str) -> str:
-    """Schema label for a relation with its object entity type folded in."""
-    return f"{relation} ( {object_type} )"
-
-
-def convert_conll04_record(obj: dict) -> Example:
-    """Convert one token-indexed entity/relation record to a dataset Example.
-
-    Expected input shape (a common distribution format for CoNLL04-style
-    data): ``{"tokens": [...], "entities": [{"type", "start", "end"}, ...],
-    "relations": [{"type", "head", "tail"}, ...]}`` where entity offsets are
-    token indices (end exclusive) and relations point at entity indices.
-    The text is rebuilt by joining tokens with single spaces; relation labels
-    fold in the object entity type, e.g. ``"work for ( organization )"``.
-    """
-    tokens = obj.get("tokens")
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise MalformedRecord("conll04 record needs a 'tokens' list of strings")
-    text = " ".join(tokens)
-    char_starts, pos = [], 0
-    for tok in tokens:
-        char_starts.append(pos)
-        pos += len(tok) + 1
-
-    def char_span(tok_start: int, tok_end: int) -> tuple[int, int]:
-        if not (0 <= tok_start < tok_end <= len(tokens)):
-            raise OffsetOutOfRange(f"entity token span ({tok_start}, {tok_end})")
-        return char_starts[tok_start], char_starts[tok_end - 1] + len(tokens[tok_end - 1])
-
-    entities = []
-    for ent in obj.get("entities", []):
-        start, end = char_span(ent["start"], ent["end"])
-        entities.append(PathElement(label=ent["type"], start=start, end=end,
-                                    surface=text[start:end]))
-    has_relation = set()
-    paths = []
-    for rel in obj.get("relations", []):
-        head, tail = entities[rel["head"]], entities[rel["tail"]]
-        has_relation.add(rel["head"])
-        folded = fold_relation_label(rel["type"], tail.label)
-        paths.append((head, PathElement(label=folded, start=tail.start,
-                                        end=tail.end, surface=tail.surface)))
-    for i, ent in enumerate(entities):
-        if i not in has_relation:
-            paths.append((ent,))
-    return Example(text=text, paths=tuple(paths), mode="ie")

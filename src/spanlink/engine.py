@@ -93,19 +93,15 @@ def plan_level(schema: Schema, prefix_paths, text, source: str, vocab: Vocab,
     """
     seen = set()
     groups = []
-    mode = None
-    level = None
     for path in prefix_paths:
         pk = path_key(path)
         if pk in seen:
             continue
         seen.add(pk)
-        node = schema.node_at(_labels_of(path))
         candidates = sorted(children_of(schema, _labels_of(path)))
-        child_mode = node.children[candidates[0]].mode
-        if mode is None:
-            mode, level = child_mode, len(path) + 1
         groups.append(PrefixGroup(path=tuple(path), types=tuple(candidates)))
+    level = len(groups[0].path) + 1 if groups else None
+    mode = schema.modes[level - 1] if groups else None
     queries = split_query(groups, text, source, mode, vocab,
                           cfg.max_prompt_len, cfg.max_len)
     return LevelPlan(level=level, mode=mode, groups=tuple(groups), queries=queries)

@@ -39,7 +39,7 @@ class SchemaTooDeep(SchemaError):
 
 
 class InvariantViolation(SchemaError):
-    """Structural invariant broken (duplicate siblings, mixed level modes)."""
+    """Structural invariant broken (a schema without labels)."""
 
 
 # -------------------------------------------------------------- tokenize ---
@@ -50,10 +50,6 @@ class TokenizeError(SpanlinkError):
 
 class EmptyCorpus(TokenizeError):
     """build_vocab was handed a corpus with no usable tokens."""
-
-
-class OutOfBounds(TokenizeError):
-    """Character span lies outside the source string."""
 
 
 class MalformedVocab(TokenizeError):

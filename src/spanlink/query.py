@@ -198,7 +198,7 @@ def make_query(groups, text: TokenizedText, source: str, mode: LevelMode,
         put(prefix, K_PREFIX, 1, g)
         for label in group.types:
             markers.append(TypeMarker(pos=len(ids), group=g, label=label))
-            put(_type_segment(vocab, label)[1], K_TYPE, len(prefix) + 1, g,
+            put(_type_segment(vocab, label), K_TYPE, len(prefix) + 1, g,
                 len(markers) - 1)
 
     clst_pos = None
@@ -312,7 +312,8 @@ def _base_cost(mode: LevelMode) -> int:
 
 
 def _segment_cost(rendering: str) -> int:
-    """Prompt tokens of one segment: its [P] or [T] marker plus its words."""
+    """Prompt tokens of one segment: its [P] or [T] marker plus its words.
+    Equal to the length of the segment's ids, which ``split_query`` uses."""
     return 1 + len(word_split(rendering))
 
 
@@ -320,17 +321,18 @@ def _prefix_segment(vocab: Vocab, group: PrefixGroup) -> list[int]:
     return [vocab.id(PREFIX_MARK)] + tokenize(vocab, group.rendered).token_ids
 
 
-def _type_segment(vocab: Vocab, label: str) -> tuple[int, tuple[int, ...]]:
-    """Prompt cost and token ids ([T] first) of a label's segment, cached on
-    the vocabulary, whose ``add`` drops the cache so ids never go stale."""
+def _type_segment(vocab: Vocab, label: str) -> tuple[int, ...]:
+    """Token ids ([T] first) of a label's segment, cached on the vocabulary,
+    whose ``add`` drops the cache so ids never go stale."""
     if label not in vocab.segments:
-        vocab.segments[label] = (_segment_cost(label), (
-            vocab.id(TYPE_MARK), *tokenize(vocab, label).token_ids))
+        vocab.segments[label] = (vocab.id(TYPE_MARK),
+                                 *tokenize(vocab, label).token_ids)
     return vocab.segments[label]
 
 
 def esi_cost(groups, mode: LevelMode) -> int:
-    """Prompt length of a query over these groups, without building it."""
+    """Prompt length of a query over these groups, without building it or
+    needing a vocabulary."""
     return _base_cost(mode) + sum(
         _segment_cost(group.rendered)
         + sum(_segment_cost(label) for label in group.types)
@@ -350,15 +352,16 @@ def split_query(groups, text: TokenizedText, source: str, mode: LevelMode,
     if not groups:
         raise EmptyTypeSet("a query needs at least one prefix group")
     base = _base_cost(mode)
+    prefixes = [_prefix_segment(vocab, group) for group in groups]
     buckets: list[dict[int, list[str]]] = []
     current: dict[int, list[str]] = {}
     cost = base
     for g, group in enumerate(groups):
         if not group.types:
             raise EmptyTypeSet(f"group {g} has no candidate types")
-        group_cost = _segment_cost(group.rendered)
+        group_cost = len(prefixes[g])
         for label in group.types:
-            type_cost = _type_segment(vocab, label)[0]
+            type_cost = len(_type_segment(vocab, label))
             extra = type_cost + (group_cost if g not in current else 0)
             if cost + extra > max_prompt_len and current:
                 buckets.append(current)
@@ -373,7 +376,6 @@ def split_query(groups, text: TokenizedText, source: str, mode: LevelMode,
             cost += extra
     buckets.append(current)
 
-    prefixes = [_prefix_segment(vocab, group) for group in groups]
     queries = []
     for bucket in buckets:
         sub = tuple(

@@ -42,9 +42,6 @@ class LevelMode(enum.Enum):
 class SchemaNode:
     label: str
     children: dict[str, "SchemaNode"] = field(default_factory=dict)
-    # Mode of the level this node sits at, i.e. how the node itself gets
-    # predicted.  Assigned per depth, so siblings always agree.
-    mode: LevelMode = LevelMode.EXTRACT
 
     @property
     def is_leaf(self) -> bool:
@@ -53,10 +50,13 @@ class SchemaNode:
 
 @dataclass
 class Schema:
-    """Tree of type labels under a synthetic unlabeled root."""
+    """Tree of type labels under a synthetic unlabeled root.  ``modes[i]``
+    is how the nodes of level ``i + 1`` are predicted, one entry per level,
+    so siblings always share a mode."""
 
     root: SchemaNode
     depth: int
+    modes: tuple[LevelMode, ...]
 
     def node_at(self, path) -> SchemaNode:
         """Walk a sequence of labels from the root; raise UnknownPath if absent."""
@@ -71,20 +71,12 @@ class Schema:
         return node
 
 
-def _mode_for_depth(level_modes, depth: int) -> LevelMode:
-    # depth is 1-based for real nodes; unspecified levels default to EXTRACT.
-    if depth - 1 < len(level_modes):
-        mode = level_modes[depth - 1]
-        return LevelMode(mode) if not isinstance(mode, LevelMode) else mode
-    return LevelMode.EXTRACT
-
-
 class _Pairs(list):
     """Marks lists produced by the object_pairs_hook, so a JSON array at the
     top level cannot impersonate an object."""
 
 
-def _build(pairs, depth: int, path, level_modes) -> dict[str, SchemaNode]:
+def _build(pairs, path) -> dict[str, SchemaNode]:
     children: dict[str, SchemaNode] = {}
     for label, sub in pairs:
         if not isinstance(label, str) or label == "":
@@ -99,9 +91,7 @@ def _build(pairs, depth: int, path, level_modes) -> dict[str, SchemaNode]:
             raise MalformedSchema(
                 f"value of {label!r} must be null or a nested object"
             )
-        node = SchemaNode(label=label, mode=_mode_for_depth(level_modes, depth))
-        node.children = _build(grandchildren, depth + 1, path + [label], level_modes)
-        children[label] = node
+        children[label] = SchemaNode(label, _build(grandchildren, path + [label]))
     return children
 
 
@@ -109,8 +99,9 @@ def parse_schema(text: str, level_modes=()) -> Schema:
     """Parse schema text into a tree.
 
     ``level_modes`` optionally assigns a :class:`LevelMode` (or its string
-    value) to each depth, level 1 first.  Levels past the end of the sequence
-    default to ``EXTRACT``.
+    value) to each depth, level 1 first, and becomes ``Schema.modes``.
+    Levels past the end of the sequence default to ``EXTRACT``; entries past
+    the schema's depth are dropped.
     """
     try:
         # object_pairs_hook keeps duplicates visible instead of silently
@@ -122,8 +113,11 @@ def parse_schema(text: str, level_modes=()) -> Schema:
         raise MalformedSchema("schema top level must be an object of labels")
     if not raw:
         raise MalformedSchema("schema defines no labels")
-    root = SchemaNode(label="", children=_build(raw, 1, [], level_modes))
-    return Schema(root=root, depth=_depth_of(root))
+    root = SchemaNode(label="", children=_build(raw, []))
+    depth = _depth_of(root)
+    modes = tuple(LevelMode(mode) for mode in level_modes[:depth])
+    return Schema(root=root, depth=depth,
+                  modes=modes + (LevelMode.EXTRACT,) * (depth - len(modes)))
 
 
 def _depth_of(node: SchemaNode) -> int:
@@ -149,37 +143,8 @@ def children_of(schema: Schema, path) -> list[str]:
 
 
 def validate_schema(schema: Schema, max_depth: int) -> None:
-    """Check depth bound and per-level mode consistency."""
+    """Check the depth bound."""
     if schema.depth > max_depth:
         raise SchemaTooDeep(f"depth {schema.depth} exceeds maximum {max_depth}")
     if schema.depth < 1:
         raise InvariantViolation("schema must contain at least one label")
-
-    def walk(node: SchemaNode) -> None:
-        modes = {child.mode for child in node.children.values()}
-        if len(modes) > 1:
-            raise InvariantViolation(
-                f"children of {node.label!r} mix level modes {sorted(m.value for m in modes)}"
-            )
-        seen = set()
-        for label, child in node.children.items():
-            if label in seen:
-                raise InvariantViolation(f"duplicate sibling {label!r}")
-            seen.add(label)
-            walk(child)
-
-    walk(schema.root)
-
-
-def iter_paths(schema: Schema):
-    """Yield every root-to-leaf label path, depth first, in sibling order."""
-
-    def walk(node: SchemaNode, prefix: tuple[str, ...]):
-        for label, child in node.children.items():
-            path = prefix + (label,)
-            if child.is_leaf:
-                yield path
-            else:
-                yield from walk(child, path)
-
-    yield from walk(schema.root, ())

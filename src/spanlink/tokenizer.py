@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import EmptyCorpus, MalformedVocab, OutOfBounds, read_text
+from .errors import EmptyCorpus, MalformedVocab, read_text
 
 # Reserved tokens, in fixed id order 0..8.  [PAD] (id 0) fills the unused
 # slots of a padded batch (``model.encode_batch``) and never appears in a
@@ -38,7 +38,8 @@ _TOKEN_RE = re.compile(r"'?\w+|[^\w\s]+")
 @dataclass
 class Vocab:
     """Token-to-id mapping with dense ids starting at 0; ``segments`` holds
-    label segments tokenized by ``query`` until ``add`` adds a token."""
+    the ids of label segments laid out by ``query`` until ``add`` adds a
+    token."""
 
     token_to_id: dict[str, int] = field(default_factory=dict)
     id_to_token: list[str] = field(default_factory=list)
@@ -70,7 +71,6 @@ class TokenizedText:
 
     token_ids: list[int]
     offsets: list[tuple[int, int]]
-    surfaces: list[str]
 
     def __len__(self) -> int:
         return len(self.token_ids)
@@ -105,21 +105,9 @@ def build_vocab(corpus, schema_labels=()) -> Vocab:
 
 def tokenize(vocab: Vocab, text: str) -> TokenizedText:
     """Tokenize raw text.  Unknown words map to [UNK] but keep real offsets."""
-    ids, offsets, surfaces = [], [], []
-    for start, end in word_split(text):
-        surface = text[start:end]
-        ids.append(vocab.id(surface))
-        offsets.append((start, end))
-        surfaces.append(surface)
-    return TokenizedText(token_ids=ids, offsets=offsets, surfaces=surfaces)
-
-
-def span_text(source: str, span: tuple[int, int]) -> str:
-    """Substring for a half-open character span, with bounds checking."""
-    start, end = span
-    if not (0 <= start <= end <= len(source)):
-        raise OutOfBounds(f"span {span} outside string of length {len(source)}")
-    return source[start:end]
+    offsets = word_split(text)
+    ids = [vocab.id(text[start:end]) for start, end in offsets]
+    return TokenizedText(token_ids=ids, offsets=offsets)
 
 
 def save_vocab(vocab: Vocab, path) -> None:

@@ -3,19 +3,22 @@
 import json
 import os
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import NER_RE_SCHEMA, ner_re_corpus
+from conftest import COQE_SCHEMA_DICT, NER_RE_SCHEMA, ner_re_corpus, plant_quintuples
 from spanlink import engine
 from spanlink.cli import main
-from spanlink.config import load_config, validate_config
-from spanlink.data import save_dataset
+from spanlink.config import level_mode_list, load_config, validate_config
+from spanlink.data import Example, load_dataset, save_dataset
 from spanlink.decoding import save_grids
 from spanlink.model import load_checkpoint
+from spanlink.query import render_query
 from spanlink.schema import parse_schema
-from spanlink.tokenizer import build_vocab, load_vocab, save_vocab
+from spanlink.tokenizer import build_vocab, load_vocab, save_vocab, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +259,106 @@ def test_dump_queries_prefix_rendering_matches_record_order(tmp_path, capsys):
         "[P] location: oslo[T] located in ( location )"
         f"[Text] {text}[SEP]"
     )
+
+
+def _reference_dump_queries(cfg_path, level):
+    """Renderings by the per-level ``gold_prefixes`` / ``plan_level`` loop
+    that ``dump-queries`` ran before it rendered ``teacher_forced_queries``."""
+    cfg = load_config(cfg_path)
+    schema = parse_schema(Path(cfg.schema).read_text(encoding="utf-8"),
+                          level_modes=level_mode_list(cfg))
+    vocab = load_vocab(cfg.vocab or cfg.checkpoint + ".vocab")
+    lines = []
+    for ex in load_dataset(cfg.data, schema=schema, vocab=vocab):
+        toks = tokenize(vocab, ex.text)
+        for lvl in range(1, schema.depth + 1):
+            if level is not None and lvl != level:
+                continue
+            prefixes = engine.gold_prefixes(ex.paths, schema, lvl)
+            if not prefixes:
+                continue
+            plan = engine.plan_level(schema, prefixes, toks, ex.text, vocab,
+                                     cfg)
+            lines += [render_query(query) for query in plan.queries]
+    return lines
+
+
+def _coqe_workspace(root):
+    rng = np.random.default_rng(11)
+    examples = []
+    for _ in range(12):
+        text, paths = plant_quintuples(rng)
+        # some records stop short of the polarity level, and some subjects
+        # carry a polarity directly, so levels run out at different depths
+        cut = int(rng.integers(2, 5))
+        examples.append(Example(text, tuple(p[:cut] for p in paths)))
+    (root / "coqe.json").write_text(json.dumps(COQE_SCHEMA_DICT),
+                                    encoding="utf-8")
+    save_dataset(examples, root / "coqe.jsonl")
+    (root / "coqe.cfg").write_text(
+        f"schema={root / 'coqe.json'}\ndata={root / 'coqe.jsonl'}\n"
+        f"checkpoint={root / 'coqe.ckpt'}\nmax_prompt_len=48\nmax_len=128\n",
+        encoding="utf-8")
+    return root / "coqe.cfg", 4
+
+
+@pytest.mark.parametrize("corpus", ["ner_re", "coqe"])
+def test_dump_queries_equals_the_per_level_gold_prefix_loop(
+        workspace, tmp_path, capsys, corpus):
+    """``dump-queries`` prints, byte for byte, what a loop over
+    ``gold_prefixes`` and ``plan_level`` per level renders, for every level
+    and for each ``--level``."""
+    if corpus == "ner_re":
+        cfg_path, depth = workspace[0] / "run.cfg", 2
+    else:
+        cfg_path, depth = _coqe_workspace(tmp_path)
+    for level in [None, *range(1, depth + 1)]:
+        argv = ["dump-queries", "--config", str(cfg_path)]
+        if level is not None:
+            argv += ["--level", str(level)]
+        assert main(argv) == 0
+        got = capsys.readouterr().out
+        want = _reference_dump_queries(cfg_path, level)
+        assert got == "".join(line + "\n" for line in want)
+        assert want
+
+
+@pytest.mark.parametrize("level", ["0", "-1", "3", "7"])
+def test_dump_queries_level_outside_the_schema_is_rejected(workspace, capsys,
+                                                           level):
+    root, _ = workspace
+    capsys.readouterr()
+    assert main(["dump-queries", "--config", str(root / "run.cfg"),
+                 "--level", level]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("cli.BadConfig: --level must lie in [1, 2]")
+
+
+def test_extract_dump_queries_keeps_no_matrices(trained, tmp_path,
+                                                monkeypatch, capsys):
+    """``extract --dump-queries`` over a data file drops each text's score
+    matrices once its queries are printed, so memory does not grow with
+    the file."""
+    root = trained
+    recorders = []
+
+    class Recorder(engine.RecordingScorer):
+        def __init__(self, inner):
+            super().__init__(inner)
+            recorders.append(self)
+
+    monkeypatch.setattr(engine, "RecordingScorer", Recorder)
+    assert main(["extract", "--config", str(root / "run.cfg"),
+                 "--data", str(root / "data.jsonl"), "--dump-queries",
+                 "--out", str(tmp_path / "out.jsonl")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    [recorder] = recorders
+    assert len(printed) >= len((root / "data.jsonl").read_text().splitlines())
+    assert recorder.queries == []
+    assert recorder.matrices == []
 
 
 # ---------------------------------------------------------------- errors ---

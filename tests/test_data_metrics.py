@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from spanlink.data import (
     Example,
     PathElement,
-    convert_conll04_record,
-    fold_relation_label,
     format_record,
     load_dataset,
     parse_record,
@@ -124,37 +122,6 @@ def test_load_dataset_rejects_mode_mismatch(tmp_path):
     rec["paths"][0][1] = {"type": "x", "label_only": True}
     path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
     assert len(load_dataset(path, schema=schema)) == 1
-
-
-def test_fold_relation_label():
-    assert fold_relation_label("work for", "organization") == \
-        "work for ( organization )"
-
-
-def test_convert_conll04_record():
-    obj = {
-        "tokens": ["John", "lives", "in", "Rome", "."],
-        "entities": [{"type": "people", "start": 0, "end": 1},
-                     {"type": "location", "start": 3, "end": 4}],
-        "relations": [{"type": "live in", "head": 0, "tail": 1}],
-    }
-    ex = convert_conll04_record(obj)
-    assert ex.text == "John lives in Rome ."
-    keys = {tuple((e.label, e.start, e.end) for e in p) for p in ex.paths}
-    assert (("people", 0, 4), ("live in ( location )", 14, 18)) in keys
-    # the head entity is folded into the relation path, not duplicated
-    assert (("people", 0, 4),) not in keys
-    assert (("location", 14, 18),) in keys
-    assert ex.paths[0][1].surface == "Rome"
-
-
-def test_convert_conll04_rejects_bad_spans():
-    with pytest.raises(OffsetOutOfRange):
-        convert_conll04_record({"tokens": ["a"],
-                                "entities": [{"type": "t", "start": 0, "end": 2}],
-                                "relations": []})
-    with pytest.raises(MalformedRecord):
-        convert_conll04_record({"entities": [], "relations": []})
 
 
 # ------------------------------------------------------------------ metrics

@@ -3,6 +3,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from spanlink.config import Config
+from spanlink.data import PathElement
+from spanlink.engine import plan_level
 from spanlink.errors import (
     InvariantViolation,
     MalformedSchema,
@@ -12,11 +15,11 @@ from spanlink.errors import (
 from spanlink.schema import (
     LevelMode,
     children_of,
-    iter_paths,
     parse_schema,
     render_schema,
     validate_schema,
 )
+from spanlink.tokenizer import build_vocab, tokenize
 
 NER_RE = '{"person": {"work for ( organization )": null}, "organization": null}'
 
@@ -78,33 +81,29 @@ def test_validate_depth_bound():
 def test_level_modes_assigned_per_depth():
     s = parse_schema('{"a": {"b": null}, "c": null}',
                      level_modes=["extract", "cls_single"])
-    assert s.node_at(("a",)).mode is LevelMode.EXTRACT
-    assert s.node_at(("c",)).mode is LevelMode.EXTRACT
-    assert s.node_at(("a", "b")).mode is LevelMode.CLASSIFY_SINGLE
+    assert s.modes == (LevelMode.EXTRACT, LevelMode.CLASSIFY_SINGLE)
     # past the configured levels everything defaults to extraction
     deep = parse_schema('{"a": {"b": {"c": null}}}', level_modes=["cls_multi"])
-    assert deep.node_at(("a", "b", "c")).mode is LevelMode.EXTRACT
+    assert deep.modes == (LevelMode.CLASSIFY_MULTI, LevelMode.EXTRACT,
+                          LevelMode.EXTRACT)
+    # entries past the schema's depth are dropped
+    assert parse_schema(NER_RE, level_modes=["extract"] * 3).modes == \
+        (LevelMode.EXTRACT,) * 2
 
 
-def test_siblings_share_mode_validates():
-    s = parse_schema(NER_RE, level_modes=["extract", "cls_multi"])
-    validate_schema(s, max_depth=8)
-    # force a mixed level by hand to confirm the validator notices
-    s.root.children["person"].mode = LevelMode.CLASSIFY_SINGLE
+def test_validate_rejects_a_schema_without_labels():
+    s = parse_schema(NER_RE)
+    s.root.children.clear()
+    s.depth = 0
     with pytest.raises(InvariantViolation):
         validate_schema(s, max_depth=8)
-
-
-def test_iter_paths_depth_first_in_order():
-    s = parse_schema('{"a": {"x": null, "y": null}, "b": null}')
-    assert list(iter_paths(s)) == [("a", "x"), ("a", "y"), ("b",)]
 
 
 def test_render_round_trip():
     s = parse_schema(NER_RE)
     again = parse_schema(render_schema(s))
     assert render_schema(again) == render_schema(s)
-    assert list(iter_paths(again)) == list(iter_paths(s))
+    assert again == s
 
 
 _label = st.text(
@@ -132,3 +131,34 @@ def test_parse_render_round_trip_random(tree):
             return 0
         return 1 + max(raw_depth(v) for v in obj.values())
     assert s.depth == raw_depth(tree)
+
+
+_modes = st.lists(st.sampled_from(list(LevelMode)), max_size=4)
+
+
+@given(st.dictionaries(_label, _tree(3), min_size=1, max_size=3), _modes)
+def test_modes_one_per_level_and_plan_level_reads_them(tree, level_modes):
+    """``Schema.modes`` holds one mode per level: ``level_modes`` first,
+    ``EXTRACT`` after it, and ``plan_level`` asks each level in its mode."""
+    s = parse_schema(json.dumps(tree), level_modes=[m.value for m in level_modes])
+    assert len(s.modes) == s.depth
+    assert s.modes == tuple(level_modes[:s.depth]) + \
+        (LevelMode.EXTRACT,) * (s.depth - len(level_modes))
+    text = "some text"
+    vocab = build_vocab([text], [])
+    cfg = Config(max_prompt_len=400, max_len=512)
+
+    def label_paths(node, prefix=()):
+        yield prefix
+        for label, child in node.children.items():
+            yield from label_paths(child, prefix + (label,))
+
+    longest = max(label_paths(s.root), key=len)
+    assert len(longest) == s.depth
+    for level in range(1, s.depth + 1):
+        path = tuple(PathElement(label, 0, 4, "some")
+                     for label in longest[:level - 1])
+        plan = plan_level(s, [path], tokenize(vocab, text), text, vocab, cfg)
+        assert plan.level == level
+        assert plan.mode is s.modes[level - 1]
+        assert all(q.mode is plan.mode for q in plan.queries)

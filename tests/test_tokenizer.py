@@ -3,14 +3,13 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from spanlink.errors import EmptyCorpus, MalformedVocab, OutOfBounds
+from spanlink.errors import EmptyCorpus, MalformedVocab
 from spanlink.tokenizer import (
     RESERVED,
     UNK,
     build_vocab,
     load_vocab,
     save_vocab,
-    span_text,
     tokenize,
     word_split,
 )
@@ -66,18 +65,9 @@ def test_build_vocab_empty_corpus():
 def test_tokenize_unknown_words_keep_offsets():
     vocab = build_vocab(["known words"], [])
     out = tokenize(vocab, "unknown words")
-    assert out.surfaces == ["unknown", "words"]
     assert out.offsets == [(0, 7), (8, 13)]
     assert out.token_ids[0] == vocab.token_to_id[UNK]
     assert out.token_ids[1] == vocab.token_to_id["words"]
-
-
-def test_span_text_bounds():
-    assert span_text("hello", (1, 3)) == "el"
-    with pytest.raises(OutOfBounds):
-        span_text("hello", (4, 9))
-    with pytest.raises(OutOfBounds):
-        span_text("hello", (-1, 2))
 
 
 def test_vocab_save_load_round_trip(tmp_path):
@@ -135,6 +125,6 @@ def test_offsets_tile_the_nonspace_characters(text):
 def test_tokenize_surfaces_match_offsets(text):
     vocab = build_vocab([text], [])
     out = tokenize(vocab, text)
-    for (s, e), surface in zip(out.offsets, out.surfaces):
-        assert text[s:e] == surface
-        assert vocab.id_to_token[vocab.id(surface)] == surface
+    assert out.offsets == word_split(text)
+    for (s, e), token_id in zip(out.offsets, out.token_ids):
+        assert vocab.id_to_token[token_id] == text[s:e]
