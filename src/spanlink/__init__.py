@@ -43,6 +43,7 @@ from .engine import (
     ModelScorer,
     evaluate,
     extract,
+    iter_extract,
     train,
 )
 from .errors import SpanlinkError
@@ -82,11 +83,11 @@ __all__ = [
     "backward", "backward_batch", "build_target", "build_vocab",
     "children_of", "circle_loss", "corpus_f1", "decode_cls_multi",
     "decode_cls_single", "decode_ie", "encode", "evaluate", "extract",
-    "format_config", "init_encoder", "init_head", "load_checkpoint",
-    "load_config", "load_dataset", "load_grids", "load_vocab",
-    "make_query", "metric_for_task", "oracle_decode", "parse_config",
-    "parse_schema", "render_query", "render_schema", "save_checkpoint",
-    "save_dataset", "save_grids", "save_vocab", "score",
+    "format_config", "init_encoder", "init_head", "iter_extract",
+    "load_checkpoint", "load_config", "load_dataset", "load_grids",
+    "load_vocab", "make_query", "metric_for_task", "oracle_decode",
+    "parse_config", "parse_schema", "render_query", "render_schema",
+    "save_checkpoint", "save_dataset", "save_grids", "save_vocab", "score",
     "split_query", "strict_match_f1", "threshold", "tokenize", "train",
     "validate_schema",
 ]

@@ -27,12 +27,11 @@ from .config import (
     load_config,
     validate_config,
 )
-from .data import load_dataset, parse_record
+from .data import load_dataset
 from .decoding import load_grids
 from .errors import (
     BadConfig,
     CheckpointMismatch,
-    MalformedRecord,
     MalformedSchema,
     SpanlinkError,
     read_text,
@@ -65,10 +64,8 @@ def _schema_labels(schema: Schema) -> list[str]:
 
 
 def _data_texts(path: str) -> list[str]:
-    """The text of every non-blank record in a data file, in file order."""
-    lines = read_text(path, MalformedRecord).split("\n")
-    return [parse_record(line, lineno).text
-            for lineno, line in enumerate(lines, start=1) if line.strip()]
+    """The text of every record in a data file, in file order."""
+    return [ex.text for ex in load_dataset(path)]
 
 
 def _vocab_path(cfg: Config) -> str:
@@ -166,21 +163,17 @@ def cmd_extract(cfg: Config, texts, oracle_path: str | None,
         scorer = recorder
     sink = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
     try:
-        if dump_queries or oracle_path:
-            # per text: grid scorers consume matrices in query order, and
-            # each text's queries are printed before its record
-            for text in texts:
-                paths = engine.extract(schema, vocab, scorer, text, cfg)
-                if dump_queries:
-                    for query in recorder.queries:
-                        print(render_query(query))
-                    recorder.queries.clear()
-                    recorder.matrices.clear()
-                sink.write(engine.extraction_record(text, paths) + "\n")
-        else:
-            for text, paths in zip(texts, engine.extract_many(
-                    texts, schema, vocab, scorer, cfg)):
-                sink.write(engine.extraction_record(text, paths) + "\n")
+        # Records are written window by window.  The recording and grid
+        # scorers do not batch, so their windows hold one text each, and each
+        # text's queries are printed before its record.
+        for text, paths in zip(texts, engine.iter_extract(
+                texts, schema, vocab, scorer, cfg)):
+            if dump_queries:
+                for query in recorder.queries:
+                    print(render_query(query))
+                recorder.queries.clear()
+                recorder.matrices.clear()
+            sink.write(engine.extraction_record(text, paths) + "\n")
     finally:
         if out_path:
             sink.close()
@@ -196,7 +189,8 @@ def cmd_dump_queries(cfg: Config, level: int | None) -> int:
     vocab = _obtain_vocab(cfg, schema, build=True)
     examples = load_dataset(cfg.data, schema=schema, vocab=vocab)
     for ex in examples:
-        for query, _ in engine.teacher_forced_queries(ex, schema, vocab, cfg):
+        for query, _ in engine.teacher_forced_queries(ex, schema, vocab, cfg,
+                                                      level):
             # a query's groups all extend prefixes one level up
             if level is None or len(query.groups[0].path) + 1 == level:
                 print(render_query(query))

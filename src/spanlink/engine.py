@@ -13,7 +13,7 @@ model, a stream of stored matrices, or an oracle synthesized from gold
 annotations.  Keeping that seam explicit is what lets the decoder be tested
 for exact closure (plant annotations, score with the oracle, extract, and
 require the planted set back).  A scorer may also offer
-``many(queries) -> [Z, ...]``; ``extract_many`` then walks a window of texts
+``many(queries) -> [Z, ...]``; ``iter_extract`` then walks a window of texts
 level by level and scores each level's queries in padded batches.
 """
 
@@ -246,9 +246,9 @@ def _extract_window(window, schema: Schema, vocab: Vocab, scorer,
     return results
 
 
-def extract_many(texts, schema: Schema, vocab: Vocab, scorer,
-                 cfg: Config) -> list[list[ExtractionPath]]:
-    """``extract`` for every text, results in text order.
+def iter_extract(texts, schema: Schema, vocab: Vocab, scorer, cfg: Config):
+    """``extract`` for every text, yielded in text order as soon as the
+    window holding the text has been walked.
 
     When the scorer has a ``many(queries) -> [Z, ...]`` method, consecutive
     texts of up to ``WINDOW_TOKENS`` tokens in all are walked together, and
@@ -258,18 +258,22 @@ def extract_many(texts, schema: Schema, vocab: Vocab, scorer,
     such as ``GridScorer`` rely on.
     """
     batched = hasattr(scorer, "many")
-    results: list[list[ExtractionPath]] = []
     window, used = [], 0
     for text in texts:
         toks = tokenize(vocab, text)
         if window and (not batched or used + len(toks) > WINDOW_TOKENS):
-            results += _extract_window(window, schema, vocab, scorer, cfg)
+            yield from _extract_window(window, schema, vocab, scorer, cfg)
             window, used = [], 0
         window.append((text, toks))
         used += len(toks)
     if window:
-        results += _extract_window(window, schema, vocab, scorer, cfg)
-    return results
+        yield from _extract_window(window, schema, vocab, scorer, cfg)
+
+
+def extract_many(texts, schema: Schema, vocab: Vocab, scorer,
+                 cfg: Config) -> list[list[ExtractionPath]]:
+    """``iter_extract`` as a list: every text's paths, in text order."""
+    return list(iter_extract(texts, schema, vocab, scorer, cfg))
 
 
 def extract(schema: Schema, vocab: Vocab, scorer, text: str,
@@ -407,13 +411,14 @@ def gold_prefixes(gold_paths, schema: Schema, level: int):
 
 
 def teacher_forced_queries(example: Example, schema: Schema, vocab: Vocab,
-                           cfg: Config):
-    """(query, target) pairs for every level of one example, with gold
-    prefixes standing in for predictions."""
+                           cfg: Config, last_level: int | None = None):
+    """(query, target) pairs for levels 1 .. ``last_level`` (default: the
+    schema depth) of one example, with gold prefixes standing in for
+    predictions."""
     toks = tokenize(vocab, example.text)
     scorer = GoldScorer(example.paths)
     pairs = []
-    for level in range(1, schema.depth + 1):
+    for level in range(1, (last_level or schema.depth) + 1):
         prefixes = gold_prefixes(example.paths, schema, level)
         if not prefixes:
             break

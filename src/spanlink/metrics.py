@@ -36,15 +36,6 @@ class MetricReport:
     f1: float
 
 
-def _report(task: str, gold: set, pred: set) -> MetricReport:
-    match = len(gold & pred)
-    precision = match / len(pred) if pred else 0.0
-    recall = match / len(gold) if gold else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return MetricReport(task=task, gold_num=len(gold), pred_num=len(pred),
-                        match_num=match, precision=precision, recall=recall, f1=f1)
-
-
 def _el_key(el):
     return (el.label, el.start, el.end)
 
@@ -111,12 +102,11 @@ def metric_for_task(task: str):
 
 
 def strict_match_f1(gold_paths, pred_paths, key) -> MetricReport:
-    """Exact-match P/R/F1 between two collections of paths under one key.
-    Paths the key maps to None are excluded from both sides."""
-    gold = {k for k in (key(p) for p in gold_paths) if k is not None}
-    pred = {k for k in (key(p) for p in pred_paths) if k is not None}
+    """Exact-match P/R/F1 between two collections of paths under one key:
+    ``corpus_f1`` over the one pair, named after the key's task.  Paths the
+    key maps to None are excluded from both sides."""
     name = next((n for n, f in TASKS.items() if f is key), "custom")
-    return _report(name, gold, pred)
+    return corpus_f1([(gold_paths, pred_paths)], key, task=name)
 
 
 def corpus_f1(pairs, key, task: str = "custom") -> MetricReport:
@@ -126,4 +116,9 @@ def corpus_f1(pairs, key, task: str = "custom") -> MetricReport:
     for idx, (gold_paths, pred_paths) in enumerate(pairs):
         gold |= {(idx, k) for k in (key(p) for p in gold_paths) if k is not None}
         pred |= {(idx, k) for k in (key(p) for p in pred_paths) if k is not None}
-    return _report(task, gold, pred)
+    match = len(gold & pred)
+    precision = match / len(pred) if pred else 0.0
+    recall = match / len(gold) if gold else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return MetricReport(task=task, gold_num=len(gold), pred_num=len(pred),
+                        match_num=match, precision=precision, recall=recall, f1=f1)

@@ -2,7 +2,8 @@
 
 The encoder is a small pre-norm transformer over word-level tokens: token +
 learned absolute position + token-type embeddings, then ``layers`` blocks of
-masked multi-head attention and a GELU feed-forward, each behind a residual.
+masked multi-head attention and a GELU feed-forward, each behind a residual,
+then a final LayerNorm.
 Attention strictly honors the query's isolation mask (disallowed logits are
 set to -inf before softmax).  Rotary embedding appears only in the scoring
 head, where it turns a plain bilinear form into a relative-position-aware
@@ -59,7 +60,6 @@ class EncoderConfig:
     heads: int
     max_positions: int
     ffn_mult: int = 4
-    final_norm: bool = True
     dtype: str = "float32"
 
     @property
@@ -110,8 +110,7 @@ def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"l{i}.ffn.b1"] = (m,)
         shapes[f"l{i}.ffn.w2"] = (m, d)
         shapes[f"l{i}.ffn.b2"] = (d,)
-    if config.final_norm:
-        shapes["lnf.g"] = shapes["lnf.b"] = (d,)
+    shapes["lnf.g"] = shapes["lnf.b"] = (d,)
     return shapes
 
 
@@ -340,9 +339,7 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
                 "gelu": gc, "gact": gact,
             })
 
-    lnfc = None
-    if cfg.final_norm:
-        x, lnfc = _layernorm(x, p["lnf.g"], p["lnf.b"], x, ws)
+    x, lnfc = _layernorm(x, p["lnf.g"], p["lnf.b"], x, ws)
 
     hidden = x.reshape(B, n, d)
     if want_cache:
@@ -372,11 +369,9 @@ def _encode_bwd(enc: EncoderParams, cache, d_hidden,
     d, H = cfg.d, cfg.heads
     dh = d // H
 
-    dx = d_hidden
-    if cfg.final_norm:
-        dx, dg, db = _layernorm_bwd(dx, cache["lnf"])
-        grads["lnf.g"] += dg
-        grads["lnf.b"] += db
+    dx, dg, db = _layernorm_bwd(d_hidden, cache["lnf"])
+    grads["lnf.g"] += dg
+    grads["lnf.b"] += db
 
     for i in reversed(range(cfg.layers)):
         c = cache["layers"][i]
@@ -548,25 +543,13 @@ def _score_bwd(head: ScoringHead, cache, d_z, grads: dict[str, np.ndarray]):
 
 # ------------------------------------------------------------ circle loss ---
 
-def _log1p_sum_exp(v: np.ndarray) -> float:
-    """log(1 + sum(exp(v))), stable for large positive and negative values."""
-    if v.size == 0:
-        return 0.0
-    m = max(float(v.max()), 0.0)
-    return m + float(np.log(np.exp(-m) + np.exp(v - m).sum()))
-
-
 def circle_loss(z: np.ndarray, target: np.ndarray, valid: np.ndarray) -> float:
     """Multi-label loss over valid cells: negatives are pushed below zero,
     positives above, coupled through two log-sum-exp terms:
 
         L = log(1 + sum_neg e^z) + log(1 + sum_pos e^-z)
     """
-    if z.shape != target.shape or z.shape != valid.shape:
-        raise ShapeMismatch("scores, target and valid mask must share a shape")
-    zz = z[valid]
-    tt = target[valid]
-    return _log1p_sum_exp(zz[tt == 0]) + _log1p_sum_exp(-zz[tt == 1])
+    return circle_loss_grad(z, target, valid)[0]
 
 
 def circle_loss_grad(z: np.ndarray, target: np.ndarray, valid: np.ndarray):
@@ -603,7 +586,7 @@ def zero_grads(enc: EncoderParams, head: ScoringHead):
     keyed in the order backprop reaches each tensor: the final norm, the
     layers from last to first, the embeddings, then the head."""
     cfg = enc.config
-    names = ["lnf.g", "lnf.b"] if cfg.final_norm else []
+    names = ["lnf.g", "lnf.b"]
     for i in reversed(range(cfg.layers)):
         names += [f"l{i}.{leaf}" for leaf in _LAYER_BWD_ORDER]
     names += ["tok_emb", "pos_emb", "type_emb"]
@@ -672,7 +655,7 @@ def save_checkpoint(path, enc: EncoderParams, head: ScoringHead) -> None:
             "layers": enc.config.layers, "heads": enc.config.heads,
             "max_positions": enc.config.max_positions,
             "ffn_mult": enc.config.ffn_mult,
-            "final_norm": enc.config.final_norm,
+            "final_norm": True,  # the final LayerNorm always runs
         },
         "head": {"d_in": head.d_in, "d_head": head.d_head},
         "tensors": [[name, list(tensors[name].shape)] for name in names],
@@ -704,10 +687,13 @@ def _dims_from_header(header) -> tuple[EncoderConfig, int, int]:
     if not isinstance(head, dict) or set(head) != {"d_in", "d_head"}:
         raise CheckpointMismatch("header has no valid head section")
     dims = [enc[k] for k in _ENCODER_DIMS] + [head["d_in"], head["d_head"]]
-    if (any(type(v) is not int or v < 0 for v in dims)
-            or type(enc["final_norm"]) is not bool):
+    if any(type(v) is not int or v < 0 for v in dims):
         raise CheckpointMismatch("header dims must be non-negative integers")
-    config = EncoderConfig(**enc)
+    if enc["final_norm"] is not True:
+        raise CheckpointMismatch(
+            f"final_norm is {enc['final_norm']!r}; the encoder always ends in "
+            f"its final LayerNorm")
+    config = EncoderConfig(**{k: enc[k] for k in _ENCODER_DIMS})
     try:
         config.validate()
     except DimensionMismatch as exc:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import warnings
 from pathlib import Path
 
@@ -361,6 +362,78 @@ def test_extract_dump_queries_keeps_no_matrices(trained, tmp_path,
     assert recorder.matrices == []
 
 
+def test_dump_queries_level_plans_only_the_levels_it_prints(workspace,
+                                                             monkeypatch):
+    """``--level N`` builds levels 1 .. N only: with one prefix level per
+    record, ``--level 1`` plans once per record and the full dump twice."""
+    root, examples = workspace
+    calls = []
+    plan_level = engine.plan_level
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plan_level(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "plan_level", counted)
+    for level, per_record in (["--level", "1"], 1), ([], 2):
+        calls.clear()
+        assert main(["dump-queries", "--config", str(root / "run.cfg"),
+                     *level]) == 0
+        assert len(calls) == per_record * len(examples)
+
+
+@pytest.mark.parametrize("scorer", ["model", "grid"])
+def test_extract_data_stops_at_an_overflowing_text(trained, tmp_path, capsys,
+                                                   scorer):
+    """More than ``WINDOW_TOKENS`` text tokens of short records, then a text
+    longer than ``max_len``: ``extract --data`` exits 1 with one
+    ``query.TextOverflow`` line, having written the records of every window
+    that finished first (model), or of every text before the long one (grid
+    scores, one text per window)."""
+    root = trained
+    cfg = load_config(root / "run.cfg")
+    validate_config(cfg)
+    schema = parse_schema(NER_RE_SCHEMA)
+    vocab = load_vocab(root / "model.ckpt.vocab")
+    before = ner_re_corpus(seed=9, n=300)
+    long = Example(" ".join(["tanaka"] * 80), ())
+    data = tmp_path / "overflow.jsonl"
+    save_dataset([*before, long, *ner_re_corpus(seed=10, n=5)], data)
+    argv = ["extract", "--config", str(root / "run.cfg"), "--data", str(data)]
+    if scorer == "model":
+        model = engine.ModelScorer(*load_checkpoint(root / "model.ckpt"))
+        scorer_for = lambda ex: model
+        # the long text's window starts where the text tokens so far, in
+        # runs of at most WINDOW_TOKENS, last filled a window
+        start = used = 0
+        for i, ex in enumerate([*before, long]):
+            n = len(tokenize(vocab, ex.text))
+            if used and used + n > engine.WINDOW_TOKENS:
+                start, used = i, 0
+            used += n
+        assert 0 < start < len(before)
+        done = before[:start]
+    else:
+        scorer_for = lambda ex: engine.GoldScorer(ex.paths)
+        matrices = []
+        for ex in before:
+            recorder = engine.RecordingScorer(scorer_for(ex))
+            engine.extract(schema, vocab, recorder, ex.text, cfg)
+            matrices += recorder.matrices
+        save_grids(tmp_path / "scores.grid", matrices)
+        argv += ["--oracle-scores", str(tmp_path / "scores.grid")]
+        done = before
+    want = [engine.extraction_record(ex.text, engine.extract(
+        schema, vocab, scorer_for(ex), ex.text, cfg)) for ex in done]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("query.TextOverflow: ")
+    assert captured.out.splitlines() == want
+
+
 # ---------------------------------------------------------------- errors ---
 
 def _stderr_code(capsys):
@@ -417,6 +490,33 @@ def test_checkpoint_dimension_mismatch(trained, tmp_path, capsys):
                "--set", "d=32", "--out", str(tmp_path / "r.jsonl")])
     assert rc == 1
     assert _stderr_code(capsys) == "model.CheckpointMismatch"
+
+
+@pytest.mark.parametrize("final_norm", [False, None])
+def test_checkpoint_without_the_final_norm_fails_eval(trained, tmp_path,
+                                                      capsys, final_norm):
+    """A header whose ``final_norm`` is false, or missing, is one
+    ``model.CheckpointMismatch`` line; the encoder always ends in it."""
+    root = trained
+    blob = (root / "model.ckpt").read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    assert header["encoder"].pop("final_norm") is True
+    if final_norm is not None:
+        header["encoder"]["final_norm"] = final_norm
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new
+                    + blob[12 + hlen:])
+    capsys.readouterr()
+    rc = main(["eval", "--config", str(root / "run.cfg"),
+               "--set", f"checkpoint={bad}",
+               "--set", f"vocab={root / 'model.ckpt.vocab'}",
+               "--out", str(tmp_path / "r.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("model.CheckpointMismatch: ")
 
 
 def test_extract_needs_text_or_data(trained, capsys):

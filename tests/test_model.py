@@ -71,17 +71,24 @@ def test_encode_is_deterministic():
 
 
 def test_zero_layers_is_embedding_sum():
+    """With no layers the encoder is the final LayerNorm of the embedding
+    sum; the norm's gain and bias are drawn at random so both count."""
     rng = np.random.default_rng(1)
     vocab = flat_vocab()
     cfg = EncoderConfig(vocab_size=len(vocab), d=8, layers=0, heads=1,
-                        max_positions=128, final_norm=False, dtype="float64")
+                        max_positions=128, dtype="float64")
     enc = init_encoder(cfg, rng)
+    enc.params["lnf.g"] = rng.normal(1.0, 0.5, size=8)
+    enc.params["lnf.b"] = rng.normal(0.0, 0.5, size=8)
     q, _ = _rand_query(rng, vocab)
     h = encode(enc, q)
-    want = (enc.params["tok_emb"][q.token_ids]
-            + enc.params["pos_emb"][q.position_ids]
-            + enc.params["type_emb"][q.token_type_ids])
-    assert np.array_equal(h, want)
+    x = (enc.params["tok_emb"][q.token_ids]
+         + enc.params["pos_emb"][q.position_ids]
+         + enc.params["type_emb"][q.token_type_ids])
+    xhat = x - x.mean(axis=1, keepdims=True)
+    want = (xhat / np.sqrt((xhat ** 2).mean(axis=1, keepdims=True) + 1e-5)
+            * enc.params["lnf.g"] + enc.params["lnf.b"])
+    np.testing.assert_allclose(h, want, rtol=0, atol=1e-12)
 
 
 def test_encode_validates_dimensions():
@@ -313,6 +320,26 @@ def test_circle_loss_grad_saturated_is_tiny():
     valid = np.ones((4, 4), dtype=bool)
     _, dz = circle_loss_grad(z, target, valid)
     assert np.abs(dz).max() <= 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_circle_loss_equals_the_fsum_formula(data):
+    """``circle_loss`` is log(1 + sum_neg e^z) + log(1 + sum_pos e^-z),
+    here summed exactly with ``math.fsum``; either set may be empty."""
+    n = data.draw(st.integers(1, 6))
+    cells = st.lists(st.floats(-30.0, 30.0), min_size=n * n, max_size=n * n)
+    z = np.array(data.draw(cells)).reshape(n, n)
+    target = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n * n,
+                                         max_size=n * n)),
+                      dtype=np.uint8).reshape(n, n)
+    valid = np.array(data.draw(st.lists(st.booleans(), min_size=n * n,
+                                        max_size=n * n))).reshape(n, n)
+    neg = [math.exp(v) for v in z[valid & (target == 0)]]
+    pos = [math.exp(-v) for v in z[valid & (target == 1)]]
+    want = math.log(math.fsum([1.0, *neg])) + math.log(math.fsum([1.0, *pos]))
+    assert circle_loss(z, target, valid) == pytest.approx(want, rel=1e-12,
+                                                          abs=0.0)
 
 
 def test_circle_loss_shape_mismatch():
@@ -700,6 +727,34 @@ def _with_header(blob, edit):
     return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:]
 
 
+def test_checkpoint_bytes_load_and_save_unchanged(tmp_path):
+    """A checkpoint laid out byte by byte as the format defines it (magic,
+    u32 header length, sorted-key JSON header with ``"final_norm": true``,
+    little-endian float32 tensors in manifest order) loads, and saving what
+    was loaded writes the same bytes."""
+    enc_shapes = {"lnf.b": [2], "lnf.g": [2], "pos_emb": [3, 2],
+                  "tok_emb": [5, 2], "type_emb": [4, 2]}
+    head_shapes = {"k.b": [2], "k.w": [2, 2], "q.b": [2], "q.w": [2, 2]}
+    manifest = ([[f"enc.{k}", v] for k, v in sorted(enc_shapes.items())]
+                + [[f"head.{k}", v] for k, v in sorted(head_shapes.items())])
+    header = {"format": 1,
+              "encoder": {"vocab_size": 5, "d": 2, "layers": 0, "heads": 1,
+                          "max_positions": 3, "ffn_mult": 4,
+                          "final_norm": True},
+              "head": {"d_in": 2, "d_head": 2}, "tensors": manifest}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    size = sum(math.prod(shape) for _, shape in manifest)
+    body = np.linspace(-1.5, 1.5, size, dtype="<f4").tobytes()
+    written = b"SPLKCKPT" + struct.pack("<I", len(blob)) + blob + body
+    path = tmp_path / "fixed.ckpt"
+    path.write_bytes(written)
+    enc, head = load_checkpoint(path)
+    assert enc.params["lnf.g"].tolist() == np.frombuffer(
+        body, "<f4")[2:4].tolist()
+    save_checkpoint(tmp_path / "again.ckpt", enc, head)
+    assert (tmp_path / "again.ckpt").read_bytes() == written
+
+
 def _forge_shape(header):
     header["tensors"][0][1] = ["5", 2.5]
 
@@ -717,6 +772,9 @@ def _forge_shape(header):
     lambda blob: _with_header(blob, lambda h: h["head"].update(d_head=3)),
     lambda blob: b"SPLKCKPT" + struct.pack("<I", 2) + b"[]",
     lambda blob: blob + b"\x00" * 4,                         # trailing data
+    lambda blob: _with_header(blob, lambda h: h["encoder"].update(
+        final_norm=False)),
+    lambda blob: _with_header(blob, lambda h: h["encoder"].pop("final_norm")),
 ])
 def test_checkpoint_rejects_forged_headers(tmp_path, forge):
     path = tmp_path / "model.ckpt"
