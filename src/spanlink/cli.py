@@ -163,9 +163,9 @@ def cmd_extract(cfg: Config, texts, oracle_path: str | None,
         scorer = recorder
     sink = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
     try:
-        # Records are written window by window.  The recording and grid
-        # scorers do not batch, so their windows hold one text each, and each
-        # text's queries are printed before its record.
+        # Records are written window by window.  At a window's first record
+        # the recorder holds every query of the window, in scoring order;
+        # they are printed before that record.
         for text, paths in zip(texts, engine.iter_extract(
                 texts, schema, vocab, scorer, cfg)):
             if dump_queries:

@@ -105,6 +105,9 @@ def validate_config(cfg: Config) -> None:
                 "early_stop_f1"):
         if not math.isfinite(getattr(cfg, key)):
             raise BadConfig(f"{key} must be finite, got {getattr(cfg, key)}")
+    for key in ("schema", "data", "vocab", "checkpoint"):
+        if "\0" in getattr(cfg, key):
+            raise BadConfig(f"{key} path contains a NUL byte")
     if cfg.max_prompt_len >= cfg.max_len:
         raise BadConfig("max_prompt_len must be smaller than max_len")
     if not 0.0 <= cfg.delta_cls <= 1.0:

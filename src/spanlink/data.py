@@ -59,7 +59,7 @@ class PathElement:
 
 
 def path_key(path) -> tuple:
-    return tuple(el.key() for el in path)
+    return tuple([el.key() for el in path])
 
 
 @dataclass

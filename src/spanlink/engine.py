@@ -12,9 +12,10 @@ Scores come from a pluggable scorer, ``scorer(query) -> Z``: the trained
 model, a stream of stored matrices, or an oracle synthesized from gold
 annotations.  Keeping that seam explicit is what lets the decoder be tested
 for exact closure (plant annotations, score with the oracle, extract, and
-require the planted set back).  A scorer may also offer
-``many(queries) -> [Z, ...]``; ``iter_extract`` then walks a window of texts
-level by level and scores each level's queries in padded batches.
+require the planted set back).  ``iter_extract`` walks a window of texts level
+by level and scores each level's queries in chunks sorted by length, through
+the scorer's ``many(queries) -> [Z, ...]`` when it has one (the model scores a
+chunk as one padded batch), or one ``scorer(query)`` call per query.
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ from .model import (
     zero_grads,
 )
 from .optim import AdamW, clip_grad_norm, flat_buffers, linear_schedule
-from .query import PrefixGroup, Query, build_target, fill_scored, split_query
+from .query import (
+    PrefixGroup,
+    Query,
+    _target_cells,
+    build_target,
+    fill_scored,
+    split_query,
+)
 from .schema import LevelMode, Schema, children_of
 from .tokenizer import Vocab, tokenize
 
@@ -52,9 +60,9 @@ from .tokenizer import Vocab, tokenize
 # in batches of 16, with no further gain at 64; a 512-token budget raised
 # the benchmark's peak RSS by up to 9.4%.
 BATCH_TOKENS = 256
-# Text tokens walked together when the scorer batches.  A window's plans
-# stay in memory until it is done: 25 texts of 200 words raised peak RSS by
-# 4 MB, while 1024 tokens still puts about 170 short sentences in a window.
+# Text tokens walked together.  A window's plans stay in memory until it is
+# done: 25 texts of 200 words raised peak RSS by 4 MB, while 1024 tokens
+# still puts about 170 short sentences in a window.
 WINDOW_TOKENS = 1024
 
 ORACLE_HI = 10.0  # sigmoid(10) ~ 0.99995, comfortably past the 0.9 threshold
@@ -181,17 +189,12 @@ def _chunk_bounds(lengths, budget: int):
         yield lo, len(lengths)
 
 
-def _decode_plans(plans, scorer, cfg: Config):
+def _decode_plans(plans, many, cfg: Config):
     """Decodes of every query of the plans, one list per plan in query
-    order.  A scorer without a ``many`` method is called once per query, in
-    plan order.  One with it gets the queries sorted by length, which keeps
-    padding low, in chunks of up to ``BATCH_TOKENS`` padded tokens, one call
-    each; each chunk's matrices are decoded and dropped before the next
+    order.  The queries are sorted by length, which keeps padding low, and
+    scored by ``many`` in chunks of up to ``BATCH_TOKENS`` padded tokens, one
+    call each; each chunk's matrices are decoded and dropped before the next
     chunk is scored."""
-    many = getattr(scorer, "many", None)
-    if many is None:
-        return [[_decode(plan.mode, scorer(query), query, cfg)
-                 for query in plan.queries] for plan in plans]
     outputs = [[None] * len(plan.queries) for plan in plans]
     items = sorted(((len(query), plan.mode, query, p, k)
                     for p, plan in enumerate(plans)
@@ -213,7 +216,7 @@ def _path_order(p: ExtractionPath):
     )
 
 
-def _extract_window(window, schema: Schema, vocab: Vocab, scorer,
+def _extract_window(window, schema: Schema, vocab: Vocab, many,
                     cfg: Config) -> list[list[ExtractionPath]]:
     """Walk the schema for several (text, tokens) pairs at once, level by
     level: every text still live plans its next level, then all their
@@ -224,7 +227,7 @@ def _extract_window(window, schema: Schema, vocab: Vocab, scorer,
         plans = {i: plan_level(schema, paths, window[i][1], window[i][0],
                                vocab, cfg)
                  for i, paths in pending.items()}
-        decoded = _decode_plans(list(plans.values()), scorer, cfg)
+        decoded = _decode_plans(list(plans.values()), many, cfg)
         next_pending = {}
         for (i, plan), outputs in zip(plans.items(), decoded):
             continuations = merge_results(plan, outputs, cfg.delta_cls)
@@ -246,28 +249,36 @@ def _extract_window(window, schema: Schema, vocab: Vocab, scorer,
     return results
 
 
+def _many_of(scorer):
+    """``scorer.many`` when the scorer has it, else a function that calls
+    ``scorer(query)`` once per query, in order."""
+    return getattr(scorer, "many", None) or (
+        lambda queries: [scorer(query) for query in queries])
+
+
 def iter_extract(texts, schema: Schema, vocab: Vocab, scorer, cfg: Config):
     """``extract`` for every text, yielded in text order as soon as the
     window holding the text has been walked.
 
-    When the scorer has a ``many(queries) -> [Z, ...]`` method, consecutive
-    texts of up to ``WINDOW_TOKENS`` tokens in all are walked together, and
-    each level's queries across the window are scored in padded batches.
-    Any other scorer sees texts one at a time and queries in exactly the
-    order a loop of ``extract`` calls would give it, which stateful scorers
-    such as ``GridScorer`` rely on.
+    Consecutive texts of up to ``WINDOW_TOKENS`` tokens in all are walked
+    together, and each level's queries across the window are scored in
+    order of length, in chunks: one ``scorer.many(queries)`` call per chunk
+    when the scorer has that method, else one ``scorer(query)`` call per
+    query.  Either way the scorer sees the queries in the same walk order,
+    which stateful scorers such as ``GridScorer`` rely on: stored matrices
+    replay only for the same texts walked the same way.
     """
-    batched = hasattr(scorer, "many")
+    many = _many_of(scorer)
     window, used = [], 0
     for text in texts:
         toks = tokenize(vocab, text)
-        if window and (not batched or used + len(toks) > WINDOW_TOKENS):
-            yield from _extract_window(window, schema, vocab, scorer, cfg)
+        if window and used + len(toks) > WINDOW_TOKENS:
+            yield from _extract_window(window, schema, vocab, many, cfg)
             window, used = [], 0
         window.append((text, toks))
         used += len(toks)
     if window:
-        yield from _extract_window(window, schema, vocab, scorer, cfg)
+        yield from _extract_window(window, schema, vocab, many, cfg)
 
 
 def extract_many(texts, schema: Schema, vocab: Vocab, scorer,
@@ -301,6 +312,9 @@ class ModelScorer:
     def __call__(self, query: Query) -> np.ndarray:
         return self.many([query])[0]
 
+    # Finite weights can still overflow float32; the decoders report the
+    # NaN scores in one line, as training does, without numpy warnings.
+    @np.errstate(over="ignore", invalid="ignore")
     def many(self, queries) -> list[np.ndarray]:
         """Score matrices of several queries from one padded pass."""
         hidden = encode_batch(self.enc, queries, workspace=self.workspace)
@@ -308,30 +322,45 @@ class ModelScorer:
 
 
 class GoldScorer:
-    """Oracle: synthesize scores from gold paths via the target builder.
+    """Oracle: synthesize scores from gold paths.
 
-    Target cells become +10, everything else -10 (masked cells -inf), so
-    extraction at threshold 0 and classification at threshold 0.9 both
-    reproduce the annotations exactly.
+    The supervision's positive cells become +10, every other scored cell
+    -10 and the rest -inf, so extraction at threshold 0 and classification
+    at threshold 0.9 both reproduce the annotations exactly.
     """
 
     def __init__(self, gold_paths):
         self.gold_paths = tuple(gold_paths)
+        # gold_continuations by prefix key, built on the first query: a
+        # scorer that is never called costs nothing to make.
+        self._continuations: dict[tuple, list[PathElement]] | None = None
 
-    def target_for(self, query: Query) -> np.ndarray:
+    def _gold_by_group(self, query: Query) -> dict[int, list[PathElement]]:
+        """The gold elements under each group of ``query`` that it asks
+        about, for the groups that have any."""
+        if self._continuations is None:
+            prefixes = {path_key(path[:depth]): path[:depth]
+                        for path in self.gold_paths
+                        for depth in range(len(path))}
+            self._continuations = {
+                pk: gold_continuations(self.gold_paths, prefix)
+                for pk, prefix in prefixes.items()}
         gold_by_group = {}
         for g, group in enumerate(query.groups):
-            els = gold_continuations(self.gold_paths, group.path)
-            els = [el for el in els if el.label in group.types]
+            els = [el for el in self._continuations.get(path_key(group.path), ())
+                   if el.label in group.types]
             if els:
                 gold_by_group[g] = els
-        return build_target(query, gold_by_group)
+        return gold_by_group
+
+    def target_for(self, query: Query) -> np.ndarray:
+        return build_target(query, self._gold_by_group(query))
 
     def __call__(self, query: Query) -> np.ndarray:
-        target = self.target_for(query)
-        z = fill_scored(query, np.full(target.shape, -np.inf, np.float32),
+        rows, cols = _target_cells(query, self._gold_by_group(query))
+        z = fill_scored(query, np.full((len(query),) * 2, -np.inf, np.float32),
                         ORACLE_LO)
-        z[target == 1] = ORACLE_HI
+        z[rows, cols] = ORACLE_HI
         return z
 
 
@@ -359,7 +388,8 @@ class GridScorer:
 
 
 class RecordingScorer:
-    """Wrap another scorer, keeping every (query, matrix) pair in order."""
+    """Wrap another scorer, keeping every (query, matrix) pair in the order
+    the wrapped scorer was asked."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -367,10 +397,15 @@ class RecordingScorer:
         self.matrices: list[np.ndarray] = []
 
     def __call__(self, query: Query) -> np.ndarray:
-        z = self.inner(query)
-        self.queries.append(query)
-        self.matrices.append(z)
-        return z
+        return self.many([query])[0]
+
+    def many(self, queries) -> list[np.ndarray]:
+        """Score through the inner scorer's ``many`` when it has one (so a
+        model still scores padded batches), else one call per query."""
+        zs = _many_of(self.inner)(queries)
+        self.queries += queries
+        self.matrices += zs
+        return zs
 
 
 # -------------------------------------------------------- teacher forcing ---

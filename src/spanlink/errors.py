@@ -171,8 +171,13 @@ def read_text(path, error: type[SpanlinkError]) -> str:
     "\\n" as ``open`` reads them in text mode.  Every text file the package
     reads comes through here: bytes that are not UTF-8 raise ``error``,
     naming the file and the byte offset, instead of a ``UnicodeDecodeError``
-    that no caller expects."""
-    with open(path, "rb") as fh:
+    that no caller expects, and so does a path ``open`` rejects (one with a
+    NUL byte)."""
+    try:
+        fh = open(path, "rb")
+    except ValueError as exc:
+        raise error(f"cannot open {str(path)!r}: {exc}") from None
+    with fh:
         raw = fh.read()
     try:
         text = raw.decode("utf-8")

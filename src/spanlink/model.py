@@ -707,7 +707,8 @@ def _dims_from_header(header) -> tuple[EncoderConfig, int, int]:
 def load_checkpoint(path) -> tuple[EncoderParams, ScoringHead]:
     """Read a checkpoint written by ``save_checkpoint``.  Any file that is
     not one -- truncated, forged, or with trailing bytes -- raises
-    ``CheckpointMismatch`` before its declared sizes are trusted."""
+    ``CheckpointMismatch`` before its declared sizes are trusted, and so
+    does a NaN or infinite weight."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
@@ -751,6 +752,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, ScoringHead]:
             if len(buf) != nbytes:
                 raise CheckpointMismatch(f"tensor {name} truncated")
             arr = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float32)
+            if not np.isfinite(arr).all():
+                raise CheckpointMismatch(f"tensor {name} holds a non-finite "
+                                         f"weight")
             space, key = name.split(".", 1)
             (enc.params if space == "enc" else head.params)[key] = arr
     return enc, head

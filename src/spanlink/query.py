@@ -261,21 +261,20 @@ def fill_scored(query: Query, dst: np.ndarray, src) -> np.ndarray:
     return dst
 
 
-def build_target(query: Query, gold_by_group) -> np.ndarray:
-    """Supervision matrix for one query.
+def _target_cells(query: Query, gold_by_group) -> tuple[list[int], list[int]]:
+    """Rows and columns of the positive cells of one query's supervision.
 
     ``gold_by_group`` maps group index -> elements extending that group's
-    prefix at this level.  Extraction golds contribute three cells each
-    (head-tail, head-[T], [T]-tail); classification golds two ([CLST]-[T] and
-    its transpose).  Groups without gold stay all-zero, which is exactly the
-    supervision "nothing continues here".
+    prefix at this level.  Extraction golds give three cells each
+    (head-tail, head-[T], [T]-tail); classification golds two ([CLST]-[T]
+    and its transpose).  Groups without gold give none, which is exactly
+    the supervision "nothing continues here".
     """
-    n = len(query)
-    target = np.zeros((n, n), dtype=np.uint8)
     # reversed: a label listed twice keeps its first marker, as marker_at
     marker_of = {(m.group, m.label): m.pos for m in reversed(query.type_markers)}
-    starts = {s: query.text_start + i for i, (s, _) in enumerate(query.text.offsets)}
-    ends = {e: query.text_start + i for i, (_, e) in enumerate(query.text.offsets)}
+    starts, ends = query.text.start_index, query.text.end_index
+    rows: list[int] = []
+    cols: list[int] = []
     for g, elements in gold_by_group.items():
         if not 0 <= g < len(query.groups):
             raise UnknownGoldType(f"group index {g} out of range")
@@ -294,15 +293,23 @@ def build_target(query: Query, gold_by_group) -> np.ndarray:
                     raise MisalignedSpan(
                         f"gold span ({el.start}, {el.end}) of {el.label!r} "
                         f"does not align to token boundaries")
-                i, j = starts[el.start], ends[el.end]
+                i = query.text_start + starts[el.start]
+                j = query.text_start + ends[el.end]
                 if i > j:
                     raise MisalignedSpan(f"gold span ({el.start}, {el.end}) is inverted")
-                target[i, j] = 1
-                target[i, k] = 1
-                target[k, j] = 1
+                rows += (i, i, k)
+                cols += (j, k, j)
             else:
-                target[query.clst_pos, k] = 1
-                target[k, query.clst_pos] = 1
+                rows += (query.clst_pos, k)
+                cols += (k, query.clst_pos)
+    return rows, cols
+
+
+def build_target(query: Query, gold_by_group) -> np.ndarray:
+    """Supervision matrix for one query: 1 at the cells ``_target_cells``
+    names for ``gold_by_group``, 0 elsewhere."""
+    target = np.zeros((len(query),) * 2, dtype=np.uint8)
+    target[_target_cells(query, gold_by_group)] = 1
     return target
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EmptyCorpus, MalformedVocab, read_text
 
@@ -74,6 +75,16 @@ class TokenizedText:
 
     def __len__(self) -> int:
         return len(self.token_ids)
+
+    @cached_property
+    def start_index(self) -> dict[int, int]:
+        """Token index of each token's start offset."""
+        return {s: i for i, (s, _) in enumerate(self.offsets)}
+
+    @cached_property
+    def end_index(self) -> dict[int, int]:
+        """Token index of each token's end offset."""
+        return {e: i for i, (_, e) in enumerate(self.offsets)}
 
 
 def word_split(text: str) -> list[tuple[int, int]]:

@@ -16,7 +16,8 @@ from spanlink.cli import main
 from spanlink.config import level_mode_list, load_config, validate_config
 from spanlink.data import Example, load_dataset, save_dataset
 from spanlink.decoding import save_grids
-from spanlink.model import load_checkpoint
+from spanlink.errors import MalformedSchema, read_text
+from spanlink.model import load_checkpoint, save_checkpoint
 from spanlink.query import render_query
 from spanlink.schema import parse_schema
 from spanlink.tokenizer import build_vocab, load_vocab, save_vocab, tokenize
@@ -388,8 +389,8 @@ def test_extract_data_stops_at_an_overflowing_text(trained, tmp_path, capsys,
     """More than ``WINDOW_TOKENS`` text tokens of short records, then a text
     longer than ``max_len``: ``extract --data`` exits 1 with one
     ``query.TextOverflow`` line, having written the records of every window
-    that finished first (model), or of every text before the long one (grid
-    scores, one text per window)."""
+    that finished first.  Grid scores are recorded by the same walk over the
+    records before the long text."""
     root = trained
     cfg = load_config(root / "run.cfg")
     validate_config(cfg)
@@ -403,28 +404,25 @@ def test_extract_data_stops_at_an_overflowing_text(trained, tmp_path, capsys,
     if scorer == "model":
         model = engine.ModelScorer(*load_checkpoint(root / "model.ckpt"))
         scorer_for = lambda ex: model
-        # the long text's window starts where the text tokens so far, in
-        # runs of at most WINDOW_TOKENS, last filled a window
-        start = used = 0
-        for i, ex in enumerate([*before, long]):
-            n = len(tokenize(vocab, ex.text))
-            if used and used + n > engine.WINDOW_TOKENS:
-                start, used = i, 0
-            used += n
-        assert 0 < start < len(before)
-        done = before[:start]
     else:
         scorer_for = lambda ex: engine.GoldScorer(ex.paths)
-        matrices = []
-        for ex in before:
-            recorder = engine.RecordingScorer(scorer_for(ex))
-            engine.extract(schema, vocab, recorder, ex.text, cfg)
-            matrices += recorder.matrices
-        save_grids(tmp_path / "scores.grid", matrices)
+        gold = {ex.text: scorer_for(ex) for ex in before}
+        recorder = engine.RecordingScorer(lambda q: gold[q.source](q))
+        engine.extract_many([ex.text for ex in before], schema, vocab,
+                            recorder, cfg)
+        save_grids(tmp_path / "scores.grid", recorder.matrices)
         argv += ["--oracle-scores", str(tmp_path / "scores.grid")]
-        done = before
+    # the long text's window starts where the text tokens so far, in runs
+    # of at most WINDOW_TOKENS, last filled a window
+    start = used = 0
+    for i, ex in enumerate([*before, long]):
+        n = len(tokenize(vocab, ex.text))
+        if used and used + n > engine.WINDOW_TOKENS:
+            start, used = i, 0
+        used += n
+    assert 0 < start < len(before)
     want = [engine.extraction_record(ex.text, engine.extract(
-        schema, vocab, scorer_for(ex), ex.text, cfg)) for ex in done]
+        schema, vocab, scorer_for(ex), ex.text, cfg)) for ex in before[:start]]
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -664,3 +662,98 @@ def test_diverging_training_prints_one_line_and_no_warnings(workspace,
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("engine.Diverged: ")
+
+
+@pytest.mark.parametrize("key", ["schema", "data", "vocab", "checkpoint"])
+def test_nul_byte_in_a_config_path_is_a_one_line_error(trained, tmp_path,
+                                                       capsys, key):
+    """``open`` raises ValueError on a path with a NUL byte; validation
+    stops it first, in one ``cli.BadConfig`` line, not a traceback."""
+    root = trained
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_text((root / "run.cfg").read_text(encoding="utf-8")
+                   + f"{key}=\0x\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.jsonl")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0] == f"cli.BadConfig: {key} path contains a NUL byte"
+
+
+def test_read_text_maps_a_path_open_rejects_to_its_error():
+    with pytest.raises(MalformedSchema, match="embedded null byte"):
+        read_text("schema\0.json", MalformedSchema)
+
+
+def _checkpoint_with(root, tmp_path, value):
+    """The trained checkpoint with ``l0.ffn.w1[0, 0]`` set to ``value``."""
+    enc, head = load_checkpoint(root / "model.ckpt")
+    enc.params["l0.ffn.w1"][0, 0] = value
+    path = tmp_path / "mutated.ckpt"
+    save_checkpoint(path, enc, head)
+    return path
+
+
+def test_checkpoint_with_an_infinite_weight_fails_eval(trained, tmp_path,
+                                                      capsys):
+    root = trained
+    bad = _checkpoint_with(root, tmp_path, np.inf)
+    capsys.readouterr()
+    rc = main(["eval", "--config", str(root / "run.cfg"),
+               "--set", f"checkpoint={bad}",
+               "--set", f"vocab={root / 'model.ckpt.vocab'}",
+               "--out", str(tmp_path / "r.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["model.CheckpointMismatch: tensor enc.l0.ffn.w1 holds a "
+                   "non-finite weight"]
+
+
+def test_overflowing_weights_end_extract_in_one_line_and_no_warnings(
+        trained, tmp_path, capsys):
+    """A finite weight of 3e38 loads, then overflows float32 in the
+    encoder: ``extract --data`` ends in one ``decode.NonFiniteScores``
+    line, with no numpy RuntimeWarning before it."""
+    root = trained
+    bad = _checkpoint_with(root, tmp_path, 3e38)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["extract", "--config", str(root / "run.cfg"),
+                   "--set", f"checkpoint={bad}",
+                   "--set", f"vocab={root / 'model.ckpt.vocab'}",
+                   "--data", str(root / "data.jsonl"),
+                   "--out", str(tmp_path / "out.jsonl")])
+    assert rc == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("decode.NonFiniteScores: ")
+
+
+def test_extract_dump_queries_with_a_model_scores_padded_batches(
+        trained, tmp_path, monkeypatch, capsys):
+    """``--dump-queries`` records what the model scores without changing
+    how it scores: over 250 texts, as many ``ModelScorer.many`` calls as
+    plain ``extract --data``, and the same records."""
+    root = trained
+    data = tmp_path / "texts.jsonl"
+    save_dataset(ner_re_corpus(seed=9, n=250), data)
+    calls = []
+    many = engine.ModelScorer.many
+
+    def counted(self, queries):
+        calls.append(len(queries))
+        return many(self, queries)
+
+    monkeypatch.setattr(engine.ModelScorer, "many", counted)
+    runs = {}
+    for extra in ([], ["--dump-queries"]):
+        calls.clear()
+        out = tmp_path / f"out{len(extra)}.jsonl"
+        assert main(["extract", "--config", str(root / "run.cfg"),
+                     "--data", str(data), "--out", str(out), *extra]) == 0
+        runs[bool(extra)] = (list(calls), out.read_bytes())
+    printed = capsys.readouterr().out.splitlines()
+    assert runs[True] == runs[False]
+    assert len(printed) == sum(runs[True][0]) > len(runs[True][0])

@@ -379,26 +379,46 @@ def test_extract_many_batched_equals_per_text_with_trained_model(a5_scorer):
     assert any(len(p.elements) == 2 for paths in batched for p in paths)
 
 
-def test_recording_scorer_sees_per_text_query_order(corpus):
+def test_every_scorer_sees_the_walk_order(corpus):
+    """A plain function and a scorer with ``many`` are walked the same way:
+    equal paths, and the same queries in the same order, level by level
+    across the window rather than text by text.  Matrices recorded through
+    ``extract_many`` replay through ``GridScorer`` over the same texts to
+    the same paths."""
     examples, vocab, schema = corpus
-    chosen = examples[:3]
+    chosen = examples[:6]
+    texts = [ex.text for ex in chosen]
     gold = {ex.text: GoldScorer(ex.paths) for ex in chosen}
+    cfg = small_train_config()
+    plain_seen, many_seen = [], []
 
-    def by_text(query):
+    def plain(query):
+        plain_seen.append(query)
         return gold[query.source](query)
 
-    cfg = small_train_config()
-    batched = RecordingScorer(by_text)
-    got = extract_many([ex.text for ex in chosen], schema, vocab, batched, cfg)
-    serial = RecordingScorer(by_text)
-    want = [extract(schema, vocab, serial, ex.text, cfg) for ex in chosen]
-    assert got == want
-    assert [(q.source, q.groups) for q in batched.queries] == \
-        [(q.source, q.groups) for q in serial.queries]
-    # every text's queries, all of its levels, come before the next text's
-    sources = [q.source for q in batched.queries]
-    assert sources == sorted(sources, key=[ex.text for ex in chosen].index)
-    assert len(sources) > len(chosen)
+    class Batched:
+        def many(self, queries):
+            many_seen.extend(queries)
+            return [gold[q.source](q) for q in queries]
+
+    got = extract_many(texts, schema, vocab, plain, cfg)
+    assert got == extract_many(texts, schema, vocab, Batched(), cfg)
+    assert got == [extract(schema, vocab, plain, text, cfg) for text in texts]
+    walk = plain_seen[:len(many_seen)]
+    assert [(q.source, q.groups) for q in walk] == \
+        [(q.source, q.groups) for q in many_seen]
+    # one window: every text's level-1 query before any level-2 query
+    levels = [len(q.groups[0].path) + 1 for q in walk]
+    assert levels == sorted(levels) and levels.count(1) == len(texts)
+    assert len(levels) > len(texts)
+
+    recorder = RecordingScorer(plain)
+    assert extract_many(texts, schema, vocab, recorder, cfg) == got
+    assert [(q.source, q.groups) for q in recorder.queries] == \
+        [(q.source, q.groups) for q in many_seen]
+    grid = GridScorer(recorder.matrices)
+    assert extract_many(texts, schema, vocab, grid, cfg) == got
+    assert grid.cursor == len(recorder.matrices)
 
 
 def test_extract_many_gold_closure(corpus):

@@ -1,0 +1,143 @@
+"""Bitwise reference outputs, pinned in ``tests/golden.json``.
+
+The A5 recipe is trained once; its checkpoint, and what ``spanlink eval``,
+``extract --data`` and ``dump-queries`` print with it, are hashed and
+compared with the committed values.  Those bits depend on numpy and the
+BLAS, so the file also records the environment it was made in; a different
+environment fails with the difference and the command that regenerates the
+file::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import glob
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from conftest import NER_RE_SCHEMA, ner_re_corpus, ner_re_vocab
+from spanlink.cli import main
+from spanlink.config import Config
+from spanlink.data import save_dataset
+from spanlink.engine import train
+from spanlink.model import save_checkpoint
+from spanlink.schema import parse_schema
+from spanlink.tokenizer import save_vocab
+
+GOLDEN = Path(__file__).with_name("golden.json")
+REGENERATE = "PYTHONPATH=src python tests/test_golden.py --write"
+
+
+def _openblas_core() -> str:
+    """The CPU kernel set numpy's bundled OpenBLAS picked at load time."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "openblas_core": _openblas_core()}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue().encode("utf-8")
+
+
+def outputs() -> dict:
+    """The A5 checkpoint's sha256 and epoch count, and the sha256 of each
+    command's output on the A5 model: ``eval`` (table and report) and
+    ``extract --data`` over 300 held-out sentences (several walk windows),
+    and ``dump-queries`` over the training corpus, at the A5 prompt budget
+    and at one that splits queries."""
+    examples = ner_re_corpus(seed=0, n=50)
+    schema = parse_schema(NER_RE_SCHEMA)
+    vocab = ner_re_vocab(examples)
+    cfg = Config(max_prompt_len=32, max_len=64, d=64, d_head=64, layers=2,
+                 heads=4, lr=2e-3, epochs=200, seed=0, early_stop_f1=1.0,
+                 eval_tasks="entity,relation-strict")
+    result = train(examples, schema, vocab, cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        save_checkpoint(root / "a5.ckpt", result.enc, result.head)
+        save_vocab(vocab, root / "a5.vocab")
+        save_dataset(examples, root / "train.jsonl")
+        save_dataset(ner_re_corpus(seed=9, n=300), root / "heldout.jsonl")
+        (root / "schema.json").write_text(NER_RE_SCHEMA, encoding="utf-8")
+        (root / "run.cfg").write_text(
+            f"schema={root / 'schema.json'}\n"
+            f"data={root / 'heldout.jsonl'}\n"
+            f"vocab={root / 'a5.vocab'}\n"
+            f"checkpoint={root / 'a5.ckpt'}\n"
+            "max_prompt_len=32\nmax_len=64\nd=64\nd_head=64\nlayers=2\n"
+            "heads=4\neval_tasks=entity,relation-strict\n", encoding="utf-8")
+        common = ["--config", str(root / "run.cfg")]
+        table = _run(["eval", *common, "--out", str(root / "report.jsonl")])
+        return {
+            "a5_checkpoint_sha256": _sha((root / "a5.ckpt").read_bytes()),
+            "a5_epochs": len(result.log),
+            "eval_stdout_sha256": _sha(table),
+            "eval_report_sha256": _sha((root / "report.jsonl").read_bytes()),
+            "extract_data_sha256": _sha(_run(
+                ["extract", *common, "--data", str(root / "heldout.jsonl")])),
+            "dump_queries_sha256": _sha(_run(
+                ["dump-queries", *common,
+                 "--set", f"data={root / 'train.jsonl'}"])),
+            # a 12-token prompt budget splits level 2 of every sentence
+            # with two people into two queries
+            "dump_queries_split_sha256": _sha(_run(
+                ["dump-queries", *common, "--set", "max_prompt_len=12",
+                 "--set", f"data={root / 'train.jsonl'}"])),
+        }
+
+
+def _differences(want: dict, got: dict) -> list[str]:
+    return [f"{key}: golden {want.get(key)!r}, here {got.get(key)!r}"
+            for key in sorted(set(want) | set(got))
+            if want.get(key) != got.get(key)]
+
+
+def test_outputs_equal_the_golden_file():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    env = _differences(golden["environment"], environment())
+    assert not env, ("the golden file was made in another environment:\n  "
+                     + "\n  ".join(env) + f"\nregenerate it with: {REGENERATE}")
+    diff = _differences(golden["outputs"], outputs())
+    assert not diff, ("outputs differ from the golden file:\n  "
+                      + "\n  ".join(diff)
+                      + "\nif the change is meant, regenerate the file with: "
+                      + REGENERATE + " and say why in CHANGES.md")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {REGENERATE}")
+    GOLDEN.write_text(json.dumps(
+        {"environment": environment(), "outputs": outputs()},
+        indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")

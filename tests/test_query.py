@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     TYPE_LABELS,
@@ -11,7 +12,8 @@ from conftest import (
     random_ie_case,
     reference_masks,
 )
-from spanlink.data import PathElement
+from spanlink.data import PathElement, path_key
+from spanlink.engine import ORACLE_HI, ORACLE_LO, GoldScorer, gold_continuations
 from spanlink import query as query_module
 from spanlink.errors import (
     EmptyTypeSet,
@@ -32,6 +34,7 @@ from spanlink.query import (
     PrefixGroup,
     build_target,
     esi_cost,
+    fill_scored,
     make_query,
     render_prefix,
     render_query,
@@ -548,6 +551,70 @@ def test_build_target_equals_reference_including_errors(mode):
         assert _outcome(build_target, q, gold) == want
         errors += isinstance(want, tuple)
     assert errors > 20
+
+
+def _reference_gold_z(gold_paths, query):
+    """``GoldScorer``'s Z as it was built before it wrote its positive cells
+    directly: an n x n target from ``gold_continuations`` per group, then
+    +10 where the target is 1."""
+    gold_by_group = {}
+    for g, group in enumerate(query.groups):
+        els = [el for el in gold_continuations(gold_paths, group.path)
+               if el.label in group.types]
+        if els:
+            gold_by_group[g] = els
+    target = _reference_build_target(query, gold_by_group)
+    z = fill_scored(query, np.full(target.shape, -np.inf, np.float32),
+                    ORACLE_LO)
+    z[target == 1] = ORACLE_HI
+    return z
+
+
+@pytest.mark.parametrize("mode", list(LevelMode))
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), budget=st.integers(12, 64))
+def test_gold_scorer_z_and_index_equal_the_reference(mode, seed, budget):
+    """On random ``split_query`` cases (budgets small enough to split), the
+    oracle's Z equals the n x n construction bit for bit, on every
+    sub-query, and its prefix index equals ``gold_continuations`` for every
+    prefix of a gold path and every group's prefix."""
+    rng = np.random.default_rng(seed)
+    vocab = flat_vocab()
+    text, groups, gold = random_ie_case(rng, max_groups=3)
+    paths = [groups[g].path + (el,) for g, els in gold.items() for el in els]
+    scorer = GoldScorer(paths)
+    for q in split_query(groups, tokenize(vocab, text), text, mode, vocab,
+                         budget, 128):
+        want = _reference_gold_z(paths, q)
+        got = scorer(q)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    prefixes = [p[:depth] for p in paths for depth in range(len(p))]
+    for prefix in prefixes + [group.path for group in groups]:
+        assert scorer._continuations.get(path_key(prefix), []) == \
+            gold_continuations(paths, prefix)
+
+
+@pytest.mark.parametrize("bad", ["start", "end", "inverted", "label_only"])
+def test_gold_scorer_raises_the_build_target_errors(bad):
+    """A gold element that ``build_target`` rejects raises the same error,
+    code and message, when the oracle scores or targets the query.  (An
+    unknown label or group index cannot reach ``build_target`` through the
+    oracle, which asks each group only about its own types.)"""
+    vocab = flat_vocab()
+    text = "ant bee cat"
+    q = _mk(vocab, text, [PrefixGroup((), ("alpha",))])
+    el = {"start": PathElement("alpha", 1, 7, "nt bee"),
+          "end": PathElement("alpha", 0, 6, "ant be"),
+          "inverted": PathElement("alpha", 8, 3, ""),
+          "label_only": PathElement("alpha")}[bad]
+    scorer = GoldScorer([(el,)])
+    outcomes = []
+    for fn in (lambda: build_target(q, {0: [el]}), lambda: scorer(q),
+               lambda: scorer.target_for(q)):
+        with pytest.raises((MalformedRecord, MisalignedSpan)) as info:
+            fn()
+        outcomes.append((info.value.code, str(info.value)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_cached_label_ids_follow_vocab_add():
