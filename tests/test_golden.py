@@ -2,10 +2,13 @@
 
 The A5 recipe is trained once; its checkpoint, and what ``spanlink eval``,
 ``extract --data`` and ``dump-queries`` print with it, are hashed and
-compared with the committed values.  Those bits depend on numpy and the
-BLAS, so the file also records the environment it was made in; a different
-environment fails with the difference and the command that regenerates the
-file::
+compared with the committed values.  So is ``extract --data`` from a seeded,
+untrained model on a schema whose three levels extract, classify with one
+label and classify with several, and the work each level does (queries,
+tokens scored, spans decoded) on the A5 held-out set and on a depth-4
+oracle fixture.  Those bits depend on numpy and the BLAS, so the file also
+records the environment it was made in; a different environment fails with
+the difference and the command that regenerates the file::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -24,14 +27,31 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import NER_RE_SCHEMA, ner_re_corpus, ner_re_vocab
+from conftest import (
+    COQE_SCHEMA_DICT,
+    NER_RE_SCHEMA,
+    POLARITY_LABELS,
+    WORDS,
+    ner_re_corpus,
+    ner_re_vocab,
+    plant_quintuples,
+)
 from spanlink.cli import main
 from spanlink.config import Config
 from spanlink.data import save_dataset
-from spanlink.engine import train
+from spanlink.decoding import decode_ie
+from spanlink.engine import (
+    GoldScorer,
+    ModelScorer,
+    RecordingScorer,
+    build_model,
+    extract,
+    iter_extract,
+    train,
+)
 from spanlink.model import save_checkpoint
 from spanlink.schema import parse_schema
-from spanlink.tokenizer import save_vocab
+from spanlink.tokenizer import build_vocab, save_vocab
 
 GOLDEN = Path(__file__).with_name("golden.json")
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py --write"
@@ -69,12 +89,78 @@ def _run(argv) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+# Level 1 extracts, level 2 picks one label, level 3 keeps any number.
+CLS_SCHEMA = json.dumps({
+    "person": {"employee": {"remote": None, "senior": None},
+               "founder": {"remote": None, "senior": None}},
+    "organization": {"private": {"global": None, "local": None},
+                     "public": {"global": None, "local": None}},
+})
+CLS_LABELS = ["person", "organization", "employee", "founder", "private",
+              "public", "remote", "senior", "global", "local"]
+
+
+def _work_counts(scored, delta_ie: float) -> list[dict]:
+    """Per schema level: queries scored, their tokens, and the spans
+    ``decode_ie`` reads off their matrices, from (query, Z) pairs of
+    extraction levels."""
+    levels: dict[int, dict] = {}
+    for query, z in scored:
+        level = len(query.groups[0].path) + 1
+        counts = levels.setdefault(level, {"level": level, "queries": 0,
+                                           "tokens": 0, "spans": 0})
+        counts["queries"] += 1
+        counts["tokens"] += len(query)
+        counts["spans"] += len(decode_ie(z, query, delta_ie))
+    return [levels[level] for level in sorted(levels)]
+
+
+def _oracle_work() -> list[dict]:
+    """Work counts of the depth-4 oracle walk over 40 planted instances."""
+    schema = parse_schema(json.dumps(COQE_SCHEMA_DICT))
+    vocab = build_vocab([" ".join(WORDS)],
+                        ["subject", "object", "aspect"] + POLARITY_LABELS)
+    cfg = Config(max_prompt_len=128, max_len=192)
+    rng = np.random.default_rng(23)
+    scored = []
+    for _ in range(40):
+        text, paths = plant_quintuples(rng)
+        recorder = RecordingScorer(GoldScorer(paths))
+        extract(schema, vocab, recorder, text, cfg)
+        scored += zip(recorder.queries, recorder.matrices)
+    return _work_counts(scored, cfg.delta_ie)
+
+
+def _untrained_cls_extract(root: Path) -> bytes:
+    """``extract --data`` from a seeded, untrained model over the held-out
+    file on ``CLS_SCHEMA``; ``delta_cls = 0.5`` lets the multi-label level
+    keep some labels and drop others."""
+    cfg = Config(max_prompt_len=32, max_len=64, d=32, d_head=32, layers=1,
+                 heads=2, seed=3, delta_cls=0.5)
+    vocab = build_vocab([ex.text for ex in ner_re_corpus(seed=9, n=300)],
+                        CLS_LABELS)
+    enc, head = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+    save_checkpoint(root / "cls.ckpt", enc, head)
+    save_vocab(vocab, root / "cls.vocab")
+    (root / "cls_schema.json").write_text(CLS_SCHEMA, encoding="utf-8")
+    (root / "cls.cfg").write_text(
+        f"schema={root / 'cls_schema.json'}\n"
+        f"vocab={root / 'cls.vocab'}\n"
+        f"checkpoint={root / 'cls.ckpt'}\n"
+        "level_modes=extract,cls_single,cls_multi\n"
+        "max_prompt_len=32\nmax_len=64\nd=32\nd_head=32\nlayers=1\n"
+        "heads=2\ndelta_cls=0.5\n", encoding="utf-8")
+    return _run(["extract", "--config", str(root / "cls.cfg"),
+                 "--data", str(root / "heldout.jsonl")])
+
+
 def outputs() -> dict:
     """The A5 checkpoint's sha256 and epoch count, and the sha256 of each
     command's output on the A5 model: ``eval`` (table and report) and
     ``extract --data`` over 300 held-out sentences (several walk windows),
     and ``dump-queries`` over the training corpus, at the A5 prompt budget
-    and at one that splits queries."""
+    and at one that splits queries.  Then the untrained three-mode
+    ``extract --data`` and the per-level work counts."""
     examples = ner_re_corpus(seed=0, n=50)
     schema = parse_schema(NER_RE_SCHEMA)
     vocab = ner_re_vocab(examples)
@@ -98,6 +184,10 @@ def outputs() -> dict:
             "heads=4\neval_tasks=entity,relation-strict\n", encoding="utf-8")
         common = ["--config", str(root / "run.cfg")]
         table = _run(["eval", *common, "--out", str(root / "report.jsonl")])
+        recorder = RecordingScorer(ModelScorer(result.enc, result.head))
+        for _ in iter_extract([ex.text for ex in ner_re_corpus(seed=9, n=300)],
+                              schema, vocab, recorder, cfg):
+            pass
         return {
             "a5_checkpoint_sha256": _sha((root / "a5.ckpt").read_bytes()),
             "a5_epochs": len(result.log),
@@ -113,6 +203,11 @@ def outputs() -> dict:
             "dump_queries_split_sha256": _sha(_run(
                 ["dump-queries", *common, "--set", "max_prompt_len=12",
                  "--set", f"data={root / 'train.jsonl'}"])),
+            "cls_levels_extract_data_sha256": _sha(
+                _untrained_cls_extract(root)),
+            "a5_heldout_work": _work_counts(
+                zip(recorder.queries, recorder.matrices), cfg.delta_ie),
+            "oracle_depth4_work": _oracle_work(),
         }
 
 
