@@ -5,14 +5,17 @@ Classification levels: one marker token instead of span cells
 A schema level can be declared cls_single or cls_multi.  Such levels add
 a [CLASSIFY] or [MULTICLASSIFY] token to the query and score only the
 cells between that token and each [T] marker, in both directions.
-Single-label levels take the best product of the two directions;
-multi-label levels keep every label whose both directions clear 0.9.
+Single-label levels take the best product of the two directions, as the
+engine does: ``cls_products`` per query, then ``merge_results`` multiplies
+the products across sub-queries and picks each group's argmax.  Multi-label
+levels keep every label whose both directions clear 0.9.
 """
 
 import numpy as np
 from scipy.special import logit
 
-from spanlink.decoding import decode_cls_multi, decode_cls_single
+from spanlink.decoding import cls_products, decode_cls_multi
+from spanlink.engine import LevelPlan, merge_results
 from spanlink.query import PrefixGroup, make_query, render_query
 from spanlink.schema import LevelMode
 from spanlink.tokenizer import build_vocab, tokenize
@@ -39,8 +42,10 @@ single = make_query([group], tokenize(vocab, text), text,
 print("single-label query:")
 print(" ", render_query(single))
 z = scores_for(single, {"negative": 0.65, "neutral": 0.2, "positive": 0.6})
-decision = decode_cls_single(z, single)[0]
-print("  chosen:", decision.labels)
+plan = LevelPlan(level=1, mode=LevelMode.CLASSIFY_SINGLE, groups=(group,),
+                 queries=[single])
+chosen = merge_results(plan, [cls_products(z, single)], delta_cls=0.9)[()]
+print("  chosen:", tuple(el.label for el in chosen))
 
 # multi-label: every label above the 0.9 threshold survives, so zero or
 # several labels can come back

@@ -29,12 +29,10 @@ from .decoding import (
     ClsDecision,
     TypedSpan,
     decode_cls_multi,
-    decode_cls_single,
     decode_ie,
     load_grids,
     oracle_decode,
     save_grids,
-    threshold,
 )
 from .engine import (
     ExtractionPath,
@@ -82,12 +80,11 @@ __all__ = [
     "SchemaNode", "ScoringHead", "SpanlinkError", "TypedSpan", "Vocab",
     "backward", "backward_batch", "build_target", "build_vocab",
     "children_of", "circle_loss", "corpus_f1", "decode_cls_multi",
-    "decode_cls_single", "decode_ie", "encode", "evaluate", "extract",
-    "format_config", "init_encoder", "init_head", "iter_extract",
-    "load_checkpoint", "load_config", "load_dataset", "load_grids",
-    "load_vocab", "make_query", "metric_for_task", "oracle_decode",
-    "parse_config", "parse_schema", "render_query", "render_schema",
-    "save_checkpoint", "save_dataset", "save_grids", "save_vocab", "score",
-    "split_query", "strict_match_f1", "threshold", "tokenize", "train",
-    "validate_schema",
+    "decode_ie", "encode", "evaluate", "extract", "format_config",
+    "init_encoder", "init_head", "iter_extract", "load_checkpoint",
+    "load_config", "load_dataset", "load_grids", "load_vocab", "make_query",
+    "metric_for_task", "oracle_decode", "parse_config", "parse_schema",
+    "render_query", "render_schema", "save_checkpoint", "save_dataset",
+    "save_grids", "save_vocab", "score", "split_query", "strict_match_f1",
+    "tokenize", "train", "validate_schema",
 ]

@@ -33,6 +33,7 @@ from .errors import (
     BadConfig,
     CheckpointMismatch,
     MalformedSchema,
+    OracleExhausted,
     SpanlinkError,
     read_text,
 )
@@ -153,8 +154,9 @@ def cmd_extract(cfg: Config, texts, oracle_path: str | None,
                 dump_queries: bool, out_path: str | None) -> int:
     schema = _load_schema(cfg)
     vocab = _obtain_vocab(cfg, schema, build=False)
+    grid = None
     if oracle_path:
-        scorer = engine.GridScorer(load_grids(oracle_path))
+        scorer = grid = engine.GridScorer(load_grids(oracle_path))
     else:
         enc, head = _load_model(cfg)
         scorer = engine.ModelScorer(enc, head)
@@ -174,6 +176,11 @@ def cmd_extract(cfg: Config, texts, oracle_path: str | None,
                 recorder.queries.clear()
                 recorder.matrices.clear()
             sink.write(engine.extraction_record(text, paths) + "\n")
+        # A grid replays only for the texts it was recorded for.
+        if grid is not None and grid.cursor < len(grid.matrices):
+            raise OracleExhausted(
+                f"read {grid.cursor} of {len(grid.matrices)} matrices; the "
+                f"grid file was recorded for other texts")
     finally:
         if out_path:
             sink.close()

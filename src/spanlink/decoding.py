@@ -57,13 +57,6 @@ class ClsDecision:
     labels: tuple[str, ...]
 
 
-def threshold(z: np.ndarray, delta: float, valid: np.ndarray) -> np.ndarray:
-    """Binary hit matrix: score >= delta on valid cells, 0 everywhere else."""
-    if z.shape != valid.shape:
-        raise ShapeMismatch("score matrix and valid mask must share a shape")
-    return ((z >= delta) & valid).astype(np.uint8)
-
-
 def _span_of(query: Query, group: int, label: str, iq: int, jq: int) -> TypedSpan:
     a = iq - query.text_start
     b = jq - query.text_start
@@ -174,17 +167,6 @@ def argmax_label(products: dict[str, float], order) -> str:
     comes first in ``order``, the group's candidate types."""
     rank = {label: i for i, label in enumerate(order)}
     return min(products, key=lambda label: (-products[label], rank[label]))
-
-
-def decode_cls_single(z: np.ndarray, query: Query) -> tuple[ClsDecision, ...]:
-    """One label per group: argmax of the two-direction sigmoid product.
-    Exact ties resolve to the lowest candidate index."""
-    by_group: dict[int, dict[str, float]] = {}
-    for g, label, p in cls_products(z, query):
-        by_group.setdefault(g, {})[label] = p
-    return tuple(
-        ClsDecision(group=g, labels=(argmax_label(by_group[g], group.types),))
-        for g, group in enumerate(query.groups))
 
 
 def decode_cls_multi(z: np.ndarray, query: Query,

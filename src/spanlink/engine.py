@@ -281,12 +281,6 @@ def iter_extract(texts, schema: Schema, vocab: Vocab, scorer, cfg: Config):
         yield from _extract_window(window, schema, vocab, many, cfg)
 
 
-def extract_many(texts, schema: Schema, vocab: Vocab, scorer,
-                 cfg: Config) -> list[list[ExtractionPath]]:
-    """``iter_extract`` as a list: every text's paths, in text order."""
-    return list(iter_extract(texts, schema, vocab, scorer, cfg))
-
-
 def extract(schema: Schema, vocab: Vocab, scorer, text: str,
             cfg: Config) -> list[ExtractionPath]:
     """Recursively extract every schema path the scorer supports in ``text``.
@@ -295,7 +289,7 @@ def extract(schema: Schema, vocab: Vocab, scorer, text: str,
     whose node has children but produced no continuation (reported with
     ``terminal=False``).  Output order is deterministic.
     """
-    return extract_many([text], schema, vocab, scorer, cfg)[0]
+    return next(iter_extract([text], schema, vocab, scorer, cfg))
 
 
 # --------------------------------------------------------------- scorers ---
@@ -331,24 +325,25 @@ class GoldScorer:
 
     def __init__(self, gold_paths):
         self.gold_paths = tuple(gold_paths)
-        # gold_continuations by prefix key, built on the first query: a
-        # scorer that is never called costs nothing to make.
-        self._continuations: dict[tuple, list[PathElement]] | None = None
+        # Built on the first query: a scorer that is never called costs
+        # nothing to make.
+        self._continuations: dict[tuple, dict[tuple, PathElement]] | None = None
 
     def _gold_by_group(self, query: Query) -> dict[int, list[PathElement]]:
         """The gold elements under each group of ``query`` that it asks
         about, for the groups that have any."""
         if self._continuations is None:
-            prefixes = {path_key(path[:depth]): path[:depth]
-                        for path in self.gold_paths
-                        for depth in range(len(path))}
-            self._continuations = {
-                pk: gold_continuations(self.gold_paths, prefix)
-                for pk, prefix in prefixes.items()}
+            # Per prefix key, the distinct gold elements one level below it
+            # by element key, in first occurrence order.
+            self._continuations = {}
+            for path in self.gold_paths:
+                for depth, el in enumerate(path):
+                    self._continuations.setdefault(
+                        path_key(path[:depth]), {}).setdefault(el.key(), el)
         gold_by_group = {}
         for g, group in enumerate(query.groups):
-            els = [el for el in self._continuations.get(path_key(group.path), ())
-                   if el.label in group.types]
+            found = self._continuations.get(path_key(group.path), {})
+            els = [el for el in found.values() if el.label in group.types]
             if els:
                 gold_by_group[g] = els
         return gold_by_group
@@ -409,22 +404,6 @@ class RecordingScorer:
 
 
 # -------------------------------------------------------- teacher forcing ---
-
-def gold_continuations(gold_paths, prefix) -> list[PathElement]:
-    """Distinct gold elements that extend ``prefix`` by one level, in first
-    occurrence order."""
-    depth = len(prefix)
-    pk = path_key(prefix)
-    out, seen = [], set()
-    for path in gold_paths:
-        if len(path) <= depth or path_key(path[:depth]) != pk:
-            continue
-        el = path[depth]
-        if el.key() not in seen:
-            seen.add(el.key())
-            out.append(el)
-    return out
-
 
 def gold_prefixes(gold_paths, schema: Schema, level: int):
     """Distinct gold prefixes of length level-1 whose nodes have children,
@@ -565,7 +544,7 @@ def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
 def evaluate(examples, schema: Schema, vocab: Vocab, scorer, cfg: Config,
              tasks) -> dict[str, MetricReport]:
     """Strict-F1 reports for each task over the given examples."""
-    predictions = extract_many([ex.text for ex in examples], schema, vocab,
+    predictions = iter_extract([ex.text for ex in examples], schema, vocab,
                                scorer, cfg)
     pairs = [
         (ex.paths, [p.elements for p in preds])

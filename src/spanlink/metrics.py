@@ -103,10 +103,10 @@ def metric_for_task(task: str):
 
 def strict_match_f1(gold_paths, pred_paths, key) -> MetricReport:
     """Exact-match P/R/F1 between two collections of paths under one key:
-    ``corpus_f1`` over the one pair, named after the key's task.  Paths the
-    key maps to None are excluded from both sides."""
-    name = next((n for n, f in TASKS.items() if f is key), "custom")
-    return corpus_f1([(gold_paths, pred_paths)], key, task=name)
+    ``corpus_f1`` over the one pair, reported as task ``"custom"`` (several
+    tasks share a key; ``corpus_f1(..., task=)`` names the report).  Paths
+    the key maps to None are excluded from both sides."""
+    return corpus_f1([(gold_paths, pred_paths)], key)
 
 
 def corpus_f1(pairs, key, task: str = "custom") -> MetricReport:

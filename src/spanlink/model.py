@@ -348,12 +348,9 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
     return hidden
 
 
-def encode(enc: EncoderParams, query: Query, want_cache: bool = False):
+def encode(enc: EncoderParams, query: Query):
     """Hidden states [n, d] for one query: ``encode_batch`` with B = 1."""
-    out = encode_batch(enc, [query], want_cache)
-    if want_cache:
-        return out[0][0], out[1]
-    return out[0]
+    return encode_batch(enc, [query])[0]
 
 
 def _encode_bwd(enc: EncoderParams, cache, d_hidden,
@@ -510,14 +507,10 @@ def score_batch(head: ScoringHead, hidden: np.ndarray, queries,
     return zs
 
 
-def score(head: ScoringHead, hidden: np.ndarray, query: Query,
-          want_cache: bool = False):
+def score(head: ScoringHead, hidden: np.ndarray, query: Query):
     """Token-pair score matrix [n, n] for one query: ``score_batch`` with
     B = 1; cells outside the scoring mask are -inf."""
-    out = score_batch(head, hidden[None], [query], want_cache)
-    if want_cache:
-        return out[0][0], out[1]
-    return out[0]
+    return score_batch(head, hidden[None], [query])[0]
 
 
 def _score_bwd(head: ScoringHead, cache, d_z, grads: dict[str, np.ndarray]):

@@ -113,7 +113,8 @@ class TypeMarker:
 @dataclass(frozen=True)
 class Query:
     """One laid-out query of O(n) per-token vectors, built only by
-    ``make_query`` (or ``split_query``); n x n masks are derived on read."""
+    ``make_query`` (or ``split_query``).  Its n x n masks are derived:
+    ``isolation_mask`` from the segment vectors, ``scoring_mask`` on read."""
 
     mode: LevelMode
     groups: tuple[PrefixGroup, ...]
@@ -139,23 +140,12 @@ class Query:
         return len(self.token_ids)
 
     @cached_property
-    def attention_mask(self) -> np.ndarray:
-        """[n, n] bool, the isolation rules."""
-        return isolation_mask(self.kinds, self.group_of, self.typeseg_of)
-
-    @cached_property
     def scoring_mask(self) -> np.ndarray:
         """[n, n] bool, the cells the head scores."""
         return fill_scored(self, np.zeros((len(self),) * 2, dtype=bool), True)
 
     def text_positions(self) -> range:
         return range(self.text_start, self.text_start + self.text_len)
-
-    def marker_at(self, group: int, label: str) -> TypeMarker | None:
-        for m in self.type_markers:
-            if m.group == group and m.label == label:
-                return m
-        return None
 
 
 def _clst_token(mode: LevelMode) -> str:
@@ -270,7 +260,7 @@ def _target_cells(query: Query, gold_by_group) -> tuple[list[int], list[int]]:
     and its transpose).  Groups without gold give none, which is exactly
     the supervision "nothing continues here".
     """
-    # reversed: a label listed twice keeps its first marker, as marker_at
+    # reversed: a label listed twice keeps its first marker
     marker_of = {(m.group, m.label): m.pos for m in reversed(query.type_markers)}
     starts, ends = query.text.start_index, query.text.end_index
     rows: list[int] = []

@@ -106,9 +106,9 @@ def query_of(vocab, text, groups, mode=LevelMode.EXTRACT,
 
 
 def reference_masks(q):
-    """``(attention_mask, scoring_mask)`` by the formulas ``make_query``
-    used when it built and stored both masks, kept as the reference for the
-    masks ``Query`` now derives from its segment vectors."""
+    """``(attention, scoring)`` masks by the formulas ``make_query`` used
+    when it built and stored both, kept as the reference for the masks now
+    derived from a query's segment vectors."""
     n = len(q)
     kinds_arr, group_arr, typeseg_arr = q.kinds, q.group_of, q.typeseg_of
     is_global = np.isin(kinds_arr, [K_CLS, K_SEP, K_CLST, K_TEXTMARK, K_TEXT])

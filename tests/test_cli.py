@@ -188,6 +188,37 @@ def test_extract_oracle_scores_with_nan_is_a_one_line_error(trained, tmp_path,
     assert err.startswith("decode.NonFiniteScores: ")
 
 
+def test_extract_oracle_scores_left_unread_is_a_one_line_error(
+        trained, tmp_path, capsys):
+    """A grid replays only for the texts it was recorded for: matrices of
+    "tanaka works for initech ." saved three times over fit the shapes of
+    "rivera works for globex .", but the walk reads two of the six, and the
+    unread remainder is an error, not a silent success."""
+    root = trained
+    text = "tanaka works for initech ."
+    gold = (
+        (engine.PathElement("person", 0, 6, "tanaka"),
+         engine.PathElement("work for ( organization )", 17, 24, "initech")),
+        (engine.PathElement("organization", 17, 24, "initech"),),
+    )
+    cfg = load_config(root / "run.cfg")
+    validate_config(cfg)
+    recorder = engine.RecordingScorer(engine.GoldScorer(gold))
+    engine.extract(parse_schema(NER_RE_SCHEMA),
+                   load_vocab(root / "model.ckpt.vocab"), recorder, text, cfg)
+    assert len(recorder.matrices) == 2
+    grids = tmp_path / "scores.grid"
+    save_grids(grids, recorder.matrices * 3)
+    capsys.readouterr()
+    rc = main(["extract", "--config", str(root / "run.cfg"),
+               "--text", "rivera works for globex .", "--oracle-scores",
+               str(grids), "--out", str(tmp_path / "out.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("engine.OracleExhausted: read 2 of 6 matrices")
+
+
 def test_extract_dump_queries_prints_renderings(trained, tmp_path, capsys):
     root = trained
     out = tmp_path / "out.jsonl"
@@ -408,8 +439,8 @@ def test_extract_data_stops_at_an_overflowing_text(trained, tmp_path, capsys,
         scorer_for = lambda ex: engine.GoldScorer(ex.paths)
         gold = {ex.text: scorer_for(ex) for ex in before}
         recorder = engine.RecordingScorer(lambda q: gold[q.source](q))
-        engine.extract_many([ex.text for ex in before], schema, vocab,
-                            recorder, cfg)
+        list(engine.iter_extract([ex.text for ex in before], schema, vocab,
+                                 recorder, cfg))
         save_grids(tmp_path / "scores.grid", recorder.matrices)
         argv += ["--oracle-scores", str(tmp_path / "scores.grid")]
     # the long text's window starts where the text tokens so far, in runs

@@ -138,6 +138,16 @@ def test_hand_case_two_thirds_one_half():
     assert abs(r.f1 - 4 / 7) < 1e-12
 
 
+def test_strict_match_f1_names_no_task():
+    """Tasks share key functions (``trigger`` uses ``entity``'s), so the
+    key cannot name the report; ``corpus_f1`` takes the name from its
+    caller."""
+    gold = [(el("attack", 0, 6, "strike"),)]
+    key = metric_for_task("trigger")
+    assert strict_match_f1(gold, gold, key).task == "custom"
+    assert corpus_f1([(gold, gold)], key, task="trigger").task == "trigger"
+
+
 def test_zero_denominators_are_zero():
     r = strict_match_f1([], [], metric_for_task("entity"))
     assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)

@@ -9,12 +9,10 @@ from spanlink.decoding import (
     ClsDecision,
     cls_products,
     decode_cls_multi,
-    decode_cls_single,
     decode_ie,
     load_grids,
     oracle_decode,
     save_grids,
-    threshold,
 )
 from spanlink import decoding as decoding_module
 from spanlink.decoding import _sigmoid
@@ -44,15 +42,23 @@ def _cls_query(vocab, labels=("alpha", "beta", "gamma"),
                     mode=mode)
 
 
-# --------------------------------------------------------------- threshold
+def _marker(q, group, label):
+    """Query position of the [T] marker of ``label`` under ``group``."""
+    return next(m.pos for m in q.type_markers
+                if (m.group, m.label) == (group, label))
 
-def test_threshold_boundary_and_masking():
-    z = np.array([[-1.0, 0.0], [2.0, -np.inf]])
-    valid = np.array([[True, True], [True, True]])
-    assert threshold(z, 0.0, valid).tolist() == [[0, 1], [1, 0]]
-    valid2 = np.array([[True, False], [False, True]])
-    assert threshold(z, 0.0, valid2).tolist() == [[0, 0], [0, 0]]
-    assert threshold(z, np.inf, valid).sum() == 0
+
+def _decode_single(z, q):
+    """The engine's single-label decision per group of ``q``:
+    ``merge_results`` over the query's ``cls_products``."""
+    plan = LevelPlan(level=len(q.groups[0].path) + 1,
+                     mode=LevelMode.CLASSIFY_SINGLE, groups=q.groups,
+                     queries=[q])
+    merged = merge_results(plan, [cls_products(z, q)], 0.9)
+    return tuple(
+        ClsDecision(group=g, labels=tuple(
+            el.label for el in merged[path_key(group.path)]))
+        for g, group in enumerate(q.groups))
 
 
 # ----------------------------------------------------------------- linking
@@ -105,7 +111,7 @@ def test_decode_single_hit_triplet_at_delta():
     # the comparison is inclusive, so the span is emitted
     vocab = flat_vocab()
     q = query_of(vocab, "ant bee cat", [PrefixGroup((), ("alpha", "beta"))])
-    m = q.marker_at(0, "beta").pos
+    m = _marker(q, 0, "beta")
     t = q.text_start
     z = np.where(q.scoring_mask, -1.0, -np.inf)
     z[t + 1, t + 2] = z[t + 1, m] = z[m, t + 2] = 0.25
@@ -172,11 +178,11 @@ def test_cls_single_prefers_larger_product():
     q = _cls_query(vocab)
     j = q.clst_pos
     z = np.full((len(q), len(q)), -np.inf)
-    a, b, c = (q.marker_at(0, lab).pos for lab in ("alpha", "beta", "gamma"))
+    a, b, c = (_marker(q, 0, lab) for lab in ("alpha", "beta", "gamma"))
     z[j, a], z[a, j] = logit(0.9), logit(0.8)    # product 0.72
     z[j, b], z[b, j] = logit(0.95), logit(0.6)   # product 0.57
     z[j, c], z[c, j] = logit(0.5), logit(0.5)    # product 0.25
-    out = decode_cls_single(z, q)
+    out = _decode_single(z, q)
     assert out == (ClsDecision(group=0, labels=("alpha",)),)
     prods = {lab: p for _, lab, p in cls_products(z, q)}
     assert abs(prods["alpha"] - 0.72) < 1e-9
@@ -187,7 +193,7 @@ def test_cls_single_single_candidate_wins_regardless():
     vocab = flat_vocab()
     q = _cls_query(vocab, labels=("alpha",))
     z = np.full((len(q), len(q)), -50.0)
-    out = decode_cls_single(z, q)
+    out = _decode_single(z, q)
     assert out[0].labels == ("alpha",)
 
 
@@ -195,7 +201,7 @@ def test_cls_single_tie_breaks_to_lowest_index():
     vocab = flat_vocab()
     q = _cls_query(vocab, labels=("beta", "alpha"))
     z = np.zeros((len(q), len(q)))
-    out = decode_cls_single(z, q)
+    out = _decode_single(z, q)
     # all products equal -> first candidate in query order wins
     assert out[0].labels == ("beta",)
 
@@ -203,8 +209,6 @@ def test_cls_single_tie_breaks_to_lowest_index():
 def test_cls_single_rejects_extract_query():
     vocab = flat_vocab()
     q = query_of(vocab, "ant", [PrefixGroup((), ("alpha",))])
-    with pytest.raises(NoCandidates):
-        decode_cls_single(np.zeros((len(q), len(q))), q)
     with pytest.raises(NoCandidates):
         cls_products(np.zeros((len(q), len(q))), q)
 
@@ -224,16 +228,16 @@ def test_cls_single_shift_invariance_with_margin():
         # |d sigmoid| <= 1/4 per direction; a crude product bound is |c|/2
         if abs(c) >= gap:
             continue
-        base = decode_cls_single(z, q)
-        shifted = decode_cls_single(np.where(q.scoring_mask, z + c, -np.inf), q)
+        base = _decode_single(z, q)
+        shifted = _decode_single(np.where(q.scoring_mask, z + c, -np.inf), q)
         if gap > 2 * abs(c):
             assert base == shifted
 
 
-def test_cls_single_agrees_with_merge_argmax():
-    # decode_cls_single and the engine's single-label merge share one argmax:
-    # largest product, exact ties to the earliest candidate in group order.
-    # Scores drawn from three values make exact ties common.
+def test_cls_single_is_argmax_with_ties_to_first_candidate():
+    # The engine's single-label merge against the rule computed apart with
+    # expit: largest product, exact ties to the earliest candidate in group
+    # order.  Scores drawn from three values make exact ties common.
     rng = np.random.default_rng(26)
     vocab = flat_vocab()
     ties = 0
@@ -250,17 +254,15 @@ def test_cls_single_agrees_with_merge_argmax():
             z = rng.choice([-1.0, 0.0, 2.0], size=(len(q), len(q)))
         else:
             z = rng.standard_normal((len(q), len(q))) * 3
-        products = cls_products(z, q)
-        plan = LevelPlan(level=2, mode=LevelMode.CLASSIFY_SINGLE,
-                         groups=q.groups, queries=[q])
-        merged = merge_results(plan, [products], 0.9)
-        want = tuple(
-            ClsDecision(group=g, labels=(merged[path_key(group.path)][0].label,))
-            for g, group in enumerate(q.groups))
-        assert decode_cls_single(z, q) == want
-        for g in range(len(q.groups)):
-            probs = [p for pg, _, p in products if pg == g]
+        j = q.clst_pos
+        want = []
+        for g, group in enumerate(q.groups):
+            probs = [float(expit(z[j, m.pos])) * float(expit(z[m.pos, j]))
+                     for m in q.type_markers if m.group == g]
+            best = max(range(len(probs)), key=lambda i: (probs[i], -i))
+            want.append(ClsDecision(group=g, labels=(group.types[best],)))
             ties += probs.count(max(probs)) > 1
+        assert _decode_single(z, q) == tuple(want)
     assert ties > 0
 
 
@@ -269,8 +271,8 @@ def test_cls_multi_strict_threshold():
     q = _cls_query(vocab, labels=("alpha", "beta"),
                    mode=LevelMode.CLASSIFY_MULTI)
     j = q.clst_pos
-    a = q.marker_at(0, "alpha").pos
-    b = q.marker_at(0, "beta").pos
+    a = _marker(q, 0, "alpha")
+    b = _marker(q, 0, "beta")
     z = np.full((len(q), len(q)), -np.inf)
     z[j, a], z[a, j] = logit(0.95), logit(0.95)
     z[j, b], z[b, j] = logit(0.95), logit(0.85)
@@ -298,7 +300,7 @@ def test_cls_multi_matches_set_builder_oracle():
 
 
 @pytest.mark.parametrize("decoder", [
-    decode_cls_single, cls_products,
+    _decode_single, cls_products,
     lambda z, q: decode_cls_multi(z, q, 0.9),
 ])
 def test_cls_decoders_reject_nan(decoder):
@@ -380,7 +382,7 @@ def test_sigmoid_falls_back_to_expit(monkeypatch, cdll):
              for _ in range(20)]
 
     def decode_all():
-        return [(cls_products(z, q), decode_cls_single(z, q),
+        return [(cls_products(z, q), _decode_single(z, q),
                  decode_cls_multi(z, q, 0.5)) for q, z in cases]
 
     want = decode_all()
@@ -491,7 +493,7 @@ def test_decode_ie_reads_only_scored_cells():
 
 _DECODERS = {
     LevelMode.EXTRACT: decode_ie,
-    LevelMode.CLASSIFY_SINGLE: decode_cls_single,
+    LevelMode.CLASSIFY_SINGLE: _decode_single,
     LevelMode.CLASSIFY_MULTI: decode_cls_multi,
 }
 

@@ -31,10 +31,9 @@ from spanlink.engine import (
     build_model,
     evaluate,
     extract,
-    extract_many,
     extraction_record,
-    gold_continuations,
     gold_prefixes,
+    iter_extract,
     merge_results,
     plan_level,
     teacher_forced_queries,
@@ -63,13 +62,20 @@ def corpus():
 
 # ------------------------------------------------------- gold navigation ---
 
+def _gold_continuations(paths, prefix, text, types):
+    """The gold elements the oracle finds one level below ``prefix`` when a
+    query asks about ``types`` under it."""
+    query = query_of(flat_vocab(), text, [PrefixGroup(prefix, types)])
+    return GoldScorer(paths)._gold_by_group(query).get(0, [])
+
+
 def test_gold_continuations_dedup_first_occurrence():
     text = "rivera works for acme and acme"
     person = _el("person", 0, 6, text)
     org1 = _el("organization", 17, 21, text)
     org2 = _el("organization", 26, 30, text)
     paths = ((person, org1), (person, org2), (person, org1))
-    got = gold_continuations(paths, (person,))
+    got = _gold_continuations(paths, (person,), text, ("organization",))
     assert got == [org1, org2]
 
 
@@ -78,8 +84,9 @@ def test_gold_continuations_requires_matching_prefix():
     a = _el("person", 0, 6, text)
     b = _el("person", 11, 15, text)
     rel = PathElement(WORK_FOR, 11, 15, text[11:15])
-    assert gold_continuations(((a, rel), (b,)), (b,)) == []
-    assert gold_continuations(((a, rel), (b,)), ()) == [a, b]
+    paths = ((a, rel), (b,))
+    assert _gold_continuations(paths, (b,), text, (WORK_FOR,)) == []
+    assert _gold_continuations(paths, (), text, ("person",)) == [a, b]
 
 
 def test_gold_prefixes_level_one_is_empty_prefix(corpus):
@@ -323,14 +330,14 @@ def test_extract_output_is_sorted(corpus):
     assert [p.elements for p in got] == [(z,), (k,)]
 
 
-def test_extract_many_preserves_order_and_matches_serial(corpus):
+def test_iter_extract_preserves_order_and_matches_serial(corpus):
     examples, vocab, schema = corpus
     texts = [ex.text for ex in examples[:6]]
     rng = np.random.default_rng(7)
     enc, head = build_model(small_train_config(), len(vocab), rng)
     scorer = ModelScorer(enc, head)  # pure function of the query
     cfg = small_train_config()
-    batched = extract_many(texts, schema, vocab, scorer, cfg)
+    batched = list(iter_extract(texts, schema, vocab, scorer, cfg))
     assert batched == [extract(schema, vocab, scorer, t, cfg) for t in texts]
     assert len(batched) == len(texts)
 
@@ -358,20 +365,20 @@ class _CountingScorer(ModelScorer):
         return super().many(queries)
 
 
-def test_extract_many_batched_equals_per_text_with_trained_model(a5_scorer):
+def test_iter_extract_batched_equals_per_text_with_trained_model(a5_scorer):
     scorer, vocab, cfg = a5_scorer
     schema = parse_schema(NER_RE_SCHEMA)
     texts = [ex.text for ex in ner_re_corpus(seed=9, n=WINDOW_TOKENS // 2)]
     assert sum(len(tokenize(vocab, t)) for t in texts) > 2 * WINDOW_TOKENS
     counting = _CountingScorer(scorer)
-    batched = extract_many(texts, schema, vocab, counting, cfg)
+    batched = list(iter_extract(texts, schema, vocab, counting, cfg))
     assert batched == [extract(schema, vocab, scorer, t, cfg) for t in texts]
 
     def one_query_per_pass(query):  # no ``many``: the unbatched reference
         return scorer(query)
 
-    assert batched == extract_many(texts, schema, vocab, one_query_per_pass,
-                                   cfg)
+    assert batched == list(iter_extract(texts, schema, vocab,
+                                        one_query_per_pass, cfg))
     # at least three windows of two levels each, several chunks per level
     assert len(counting.batches) > 3 * 2 * 2
     assert max(counting.batches) > 1
@@ -383,7 +390,7 @@ def test_every_scorer_sees_the_walk_order(corpus):
     """A plain function and a scorer with ``many`` are walked the same way:
     equal paths, and the same queries in the same order, level by level
     across the window rather than text by text.  Matrices recorded through
-    ``extract_many`` replay through ``GridScorer`` over the same texts to
+    ``iter_extract`` replay through ``GridScorer`` over the same texts to
     the same paths."""
     examples, vocab, schema = corpus
     chosen = examples[:6]
@@ -401,8 +408,8 @@ def test_every_scorer_sees_the_walk_order(corpus):
             many_seen.extend(queries)
             return [gold[q.source](q) for q in queries]
 
-    got = extract_many(texts, schema, vocab, plain, cfg)
-    assert got == extract_many(texts, schema, vocab, Batched(), cfg)
+    got = list(iter_extract(texts, schema, vocab, plain, cfg))
+    assert got == list(iter_extract(texts, schema, vocab, Batched(), cfg))
     assert got == [extract(schema, vocab, plain, text, cfg) for text in texts]
     walk = plain_seen[:len(many_seen)]
     assert [(q.source, q.groups) for q in walk] == \
@@ -413,19 +420,19 @@ def test_every_scorer_sees_the_walk_order(corpus):
     assert len(levels) > len(texts)
 
     recorder = RecordingScorer(plain)
-    assert extract_many(texts, schema, vocab, recorder, cfg) == got
+    assert list(iter_extract(texts, schema, vocab, recorder, cfg)) == got
     assert [(q.source, q.groups) for q in recorder.queries] == \
         [(q.source, q.groups) for q in many_seen]
     grid = GridScorer(recorder.matrices)
-    assert extract_many(texts, schema, vocab, grid, cfg) == got
+    assert list(iter_extract(texts, schema, vocab, grid, cfg)) == got
     assert grid.cursor == len(recorder.matrices)
 
 
-def test_extract_many_gold_closure(corpus):
+def test_iter_extract_gold_closure(corpus):
     examples, vocab, schema = corpus
     for ex in examples[:6]:
-        paths = extract_many([ex.text], schema, vocab, GoldScorer(ex.paths),
-                             small_train_config())[0]
+        paths = next(iter_extract([ex.text], schema, vocab,
+                                  GoldScorer(ex.paths), small_train_config()))
         assert {p.elements for p in paths} == {tuple(p) for p in ex.paths}
 
 
@@ -501,7 +508,7 @@ def test_train_builds_pairs_once_and_logs_the_mean_grad_norm(corpus,
     assert sorted(calls) == sorted(ex.text for ex in examples[:3])
     assert queries
     for query in queries:
-        assert not {"scoring_mask", "attention_mask"} & set(vars(query))
+        assert "scoring_mask" not in vars(query)
     assert len(norms) == 6
     for entry, epoch_norms in zip(result.log, (norms[:3], norms[3:])):
         assert list(entry)[:3] == ["epoch", "loss", "grad_norm"]

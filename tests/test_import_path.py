@@ -21,8 +21,8 @@ import spanlink
 import spanlink.cli
 from spanlink.config import Config
 from spanlink.data import Example, PathElement
-from spanlink.decoding import cls_products, decode_cls_multi, decode_cls_single
-from spanlink.engine import ModelScorer, extract, train
+from spanlink.decoding import cls_products, decode_cls_multi
+from spanlink.engine import LevelPlan, ModelScorer, extract, merge_results, train
 from spanlink.model import _gelu
 from spanlink.query import PrefixGroup, make_query
 from spanlink.schema import LevelMode, parse_schema
@@ -55,7 +55,9 @@ query = make_query([PrefixGroup((), ("person", "organization"))],
                    tokenize(vocab, text), text, LevelMode.CLASSIFY_SINGLE, vocab,
                    32, 64)
 z = np.random.default_rng(0).normal(size=(len(query),) * 2)
-decision = decode_cls_single(z, query)
+plan = LevelPlan(level=1, mode=LevelMode.CLASSIFY_SINGLE,
+                 groups=query.groups, queries=[query])
+decision = merge_results(plan, [cls_products(z, query)], 0.9)[()]
 multi = decode_cls_multi(z.astype(np.float32), query, 0.5)
 assert "scipy.special" not in sys.modules, "loaded by classification"
 x = np.random.default_rng(1).standard_normal(1000) * 4.0
@@ -68,7 +70,7 @@ products = [float(expit(z[j, m.pos])) * float(expit(z[m.pos, j]))
             for m in query.type_markers]
 assert [p for _, _, p in cls_products(z, query)] == products
 best = query.type_markers[int(np.argmax(products))].label
-assert decision[0].labels == (best,), (decision, products)
+assert [el.label for el in decision] == [best], (decision, products)
 z32 = z.astype(np.float32)
 assert multi[0].labels == tuple(
     m.label for m in query.type_markers

@@ -13,7 +13,7 @@ from conftest import (
     reference_masks,
 )
 from spanlink.data import PathElement, path_key
-from spanlink.engine import ORACLE_HI, ORACLE_LO, GoldScorer, gold_continuations
+from spanlink.engine import ORACLE_HI, ORACLE_LO, GoldScorer
 from spanlink import query as query_module
 from spanlink.errors import (
     EmptyTypeSet,
@@ -35,6 +35,7 @@ from spanlink.query import (
     build_target,
     esi_cost,
     fill_scored,
+    isolation_mask,
     make_query,
     render_prefix,
     render_query,
@@ -47,6 +48,17 @@ from spanlink.tokenizer import UNK, build_vocab, tokenize
 def _mk(vocab, text, groups, mode=LevelMode.EXTRACT, budget=32, max_len=64):
     return make_query(groups, tokenize(vocab, text), text, mode, vocab,
                       budget, max_len)
+
+
+def _attention(q):
+    """The query's [n, n] attention rule."""
+    return isolation_mask(q.kinds, q.group_of, q.typeseg_of)
+
+
+def _marker(q, group, label):
+    """The first [T] marker of ``label`` under ``group``, or None."""
+    return next((m for m in q.type_markers
+                 if (m.group, m.label) == (group, label)), None)
 
 
 # --------------------------------------------------------------- rendering
@@ -233,8 +245,8 @@ def test_attention_mask_matches_rules():
         want = np.fromfunction(
             np.vectorize(lambda i, j: _expected_attend(q, int(i), int(j))),
             (n, n), dtype=int)
-        assert np.array_equal(q.attention_mask, want)
-        assert np.array_equal(q.attention_mask, q.attention_mask.T)
+        assert np.array_equal(_attention(q), want)
+        assert np.array_equal(_attention(q), _attention(q).T)
 
 
 def test_no_cross_group_attention():
@@ -245,10 +257,10 @@ def test_no_cross_group_attention():
             budget=24, max_len=48)
     g0 = np.where(q.group_of == 0)[0]
     g1 = np.where(q.group_of == 1)[0]
-    assert not q.attention_mask[np.ix_(g0, g1)].any()
-    assert not q.attention_mask[np.ix_(g1, g0)].any()
+    assert not _attention(q)[np.ix_(g0, g1)].any()
+    assert not _attention(q)[np.ix_(g1, g0)].any()
     # text rows and columns stay fully open
-    trow = q.attention_mask[q.text_start]
+    trow = _attention(q)[q.text_start]
     assert trow.all()
 
 
@@ -304,8 +316,8 @@ def test_build_target_three_cells_per_span():
                 PathElement("beta", 8, 11, "cat")]}
     target = build_target(q, gold)
     assert int(target.sum()) == 6
-    a = q.marker_at(0, "alpha").pos
-    b = q.marker_at(0, "beta").pos
+    a = _marker(q, 0, "alpha").pos
+    b = _marker(q, 0, "beta").pos
     t = q.text_start
     assert target[t + 0, t + 1] and target[t + 0, a] and target[a, t + 1]
     assert target[t + 2, t + 2] and target[t + 2, b] and target[b, t + 2]
@@ -318,7 +330,7 @@ def test_build_target_cls_two_cells():
             mode=LevelMode.CLASSIFY_SINGLE)
     target = build_target(q, {0: [PathElement("beta")]})
     assert int(target.sum()) == 2
-    m = q.marker_at(0, "beta").pos
+    m = _marker(q, 0, "beta").pos
     assert target[q.clst_pos, m] and target[m, q.clst_pos]
 
 
@@ -340,7 +352,7 @@ def test_build_target_random_popcount():
             cells = set()
             for g, els in gold.items():
                 for el in els:
-                    mk = q.marker_at(g, el.label).pos
+                    mk = _marker(q, g, el.label).pos
                     i = q.text_start + [o[0] for o in q.text.offsets].index(el.start)
                     j = q.text_start + [o[1] for o in q.text.offsets].index(el.end)
                     cells |= {(i, j), (i, mk), (mk, j)}
@@ -408,7 +420,7 @@ def test_split_noop_when_fits():
     direct = make_query(groups, toks, text, LevelMode.EXTRACT, vocab, 32, 64)
     assert len(single) == 1
     assert np.array_equal(single[0].token_ids, direct.token_ids)
-    assert np.array_equal(single[0].attention_mask, direct.attention_mask)
+    assert np.array_equal(_attention(single[0]), _attention(direct))
     assert np.array_equal(single[0].scoring_mask, direct.scoring_mask)
 
 
@@ -468,7 +480,7 @@ def test_derived_masks_equal_the_stored_formulas(mode):
         split += len(queries) > 1
         for q in queries:
             attention, scoring = reference_masks(q)
-            for got, want in ((q.attention_mask, attention),
+            for got, want in ((_attention(q), attention),
                               (q.scoring_mask, scoring)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -495,7 +507,7 @@ def _reference_build_target(query, gold_by_group):
         if not 0 <= g < len(query.groups):
             raise UnknownGoldType(f"group index {g} out of range")
         for el in elements:
-            marker = query.marker_at(g, el.label)
+            marker = _marker(query, g, el.label)
             if marker is None:
                 raise UnknownGoldType(
                     f"{el.label!r} is not a candidate type of group {g}")
@@ -553,13 +565,30 @@ def test_build_target_equals_reference_including_errors(mode):
     assert errors > 20
 
 
+def _gold_continuations(gold_paths, prefix):
+    """Distinct gold elements that extend ``prefix`` by one level, in first
+    occurrence order: one scan of the gold paths per prefix, as the oracle
+    found them before it indexed every prefix in one pass."""
+    depth = len(prefix)
+    pk = path_key(prefix)
+    out, seen = [], set()
+    for path in gold_paths:
+        if len(path) <= depth or path_key(path[:depth]) != pk:
+            continue
+        el = path[depth]
+        if el.key() not in seen:
+            seen.add(el.key())
+            out.append(el)
+    return out
+
+
 def _reference_gold_z(gold_paths, query):
     """``GoldScorer``'s Z as it was built before it wrote its positive cells
-    directly: an n x n target from ``gold_continuations`` per group, then
+    directly: an n x n target from ``_gold_continuations`` per group, then
     +10 where the target is 1."""
     gold_by_group = {}
     for g, group in enumerate(query.groups):
-        els = [el for el in gold_continuations(gold_paths, group.path)
+        els = [el for el in _gold_continuations(gold_paths, group.path)
                if el.label in group.types]
         if els:
             gold_by_group[g] = els
@@ -576,8 +605,8 @@ def _reference_gold_z(gold_paths, query):
 def test_gold_scorer_z_and_index_equal_the_reference(mode, seed, budget):
     """On random ``split_query`` cases (budgets small enough to split), the
     oracle's Z equals the n x n construction bit for bit, on every
-    sub-query, and its prefix index equals ``gold_continuations`` for every
-    prefix of a gold path and every group's prefix."""
+    sub-query, and its prefix index equals ``_gold_continuations`` for
+    every prefix of a gold path and every group's prefix."""
     rng = np.random.default_rng(seed)
     vocab = flat_vocab()
     text, groups, gold = random_ie_case(rng, max_groups=3)
@@ -590,8 +619,8 @@ def test_gold_scorer_z_and_index_equal_the_reference(mode, seed, budget):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     prefixes = [p[:depth] for p in paths for depth in range(len(p))]
     for prefix in prefixes + [group.path for group in groups]:
-        assert scorer._continuations.get(path_key(prefix), []) == \
-            gold_continuations(paths, prefix)
+        found = scorer._continuations.get(path_key(prefix), {})
+        assert list(found.values()) == _gold_continuations(paths, prefix)
 
 
 @pytest.mark.parametrize("bad", ["start", "end", "inverted", "label_only"])
@@ -624,7 +653,7 @@ def test_cached_label_ids_follow_vocab_add():
     groups = [PrefixGroup((), ("alpha", "zeta"))]
     before = _mk(vocab, "ant bee", groups)
     assert "zeta" in vocab.segments
-    pos = before.marker_at(0, "zeta").pos + 1
+    pos = _marker(before, 0, "zeta").pos + 1
     assert before.token_ids[pos] == vocab.id(UNK)
     zeta = vocab.add("zeta")
     after = _mk(vocab, "ant bee", groups)
