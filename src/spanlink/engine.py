@@ -325,25 +325,27 @@ class GoldScorer:
 
     def __init__(self, gold_paths):
         self.gold_paths = tuple(gold_paths)
-        # Built on the first query: a scorer that is never called costs
-        # nothing to make.
-        self._continuations: dict[tuple, dict[tuple, PathElement]] | None = None
+        # Per prefix key, the distinct gold elements one level below it, in
+        # first occurrence order; built on the first query, so a scorer
+        # that is never called costs nothing to make.
+        self._continuations: dict[tuple, list[PathElement]] | None = None
 
     def _gold_by_group(self, query: Query) -> dict[int, list[PathElement]]:
         """The gold elements under each group of ``query`` that it asks
         about, for the groups that have any."""
         if self._continuations is None:
-            # Per prefix key, the distinct gold elements one level below it
-            # by element key, in first occurrence order.
-            self._continuations = {}
+            index: dict[tuple, dict[tuple, PathElement]] = {}
             for path in self.gold_paths:
                 for depth, el in enumerate(path):
-                    self._continuations.setdefault(
-                        path_key(path[:depth]), {}).setdefault(el.key(), el)
+                    index.setdefault(path_key(path[:depth]), {}).setdefault(
+                        el.key(), el)
+            # Lists, not the dicts: callers may keep one scorer per text.
+            self._continuations = {pk: list(els.values())
+                                   for pk, els in index.items()}
         gold_by_group = {}
         for g, group in enumerate(query.groups):
-            found = self._continuations.get(path_key(group.path), {})
-            els = [el for el in found.values() if el.label in group.types]
+            els = [el for el in self._continuations.get(path_key(group.path), ())
+                   if el.label in group.types]
             if els:
                 gold_by_group[g] = els
         return gold_by_group

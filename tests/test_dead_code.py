@@ -63,13 +63,14 @@ def _unread(package: Path, wanted, outside=frozenset()) -> list[str]:
     statements = [(path.stem, stmt) for path in sorted(package.glob("*.py"))
                   for stmt in _parse(path).body]
     refs = [_referenced_names(stmt) for _, stmt in statements]
-    exported = {node.value for _, stmt in statements
-                if "__all__" in _defined_names(stmt)
-                for node in ast.walk(stmt) if isinstance(node, ast.Constant)}
+    read = outside | {node.value for _, stmt in statements
+                      if "__all__" in _defined_names(stmt)
+                      for node in ast.walk(stmt)
+                      if isinstance(node, ast.Constant)}
     unused = []
     for i, (module, stmt) in enumerate(statements):
         for name in _defined_names(stmt):
-            if wanted(name) and name not in outside | exported and not any(
+            if wanted(name) and name not in read and not any(
                     name in names for j, names in enumerate(refs) if j != i):
                 unused.append(f"{module}.{name}")
     return unused
@@ -101,7 +102,7 @@ def unused_public_names(package: Path = PACKAGE,
     """``module.name`` for each public top-level definition that neither
     the package, its ``__all__`` nor the files at ``readers`` read."""
     return _unread(package, lambda name: not name.startswith("_"),
-                   frozenset(names_read_by(readers)))
+                   names_read_by(readers))
 
 
 def test_every_private_top_level_name_is_used():
