@@ -234,10 +234,10 @@ def test_cls_single_shift_invariance_with_margin():
             assert base == shifted
 
 
-def test_cls_single_is_argmax_with_ties_to_first_candidate():
-    # The engine's single-label merge against the rule computed apart with
-    # expit: largest product, exact ties to the earliest candidate in group
-    # order.  Scores drawn from three values make exact ties common.
+def test_cls_single_agrees_with_merge_argmax():
+    # The engine's single-label merge agrees with the argmax computed apart
+    # with expit: largest product, exact ties to the earliest candidate in
+    # group order.  Scores drawn from three values make exact ties common.
     rng = np.random.default_rng(26)
     vocab = flat_vocab()
     ties = 0
