@@ -6,7 +6,9 @@ compared with the committed values.  So is ``extract --data`` from a seeded,
 untrained model on a schema whose three levels extract, classify with one
 label and classify with several, and the work each level does (queries,
 tokens scored, spans decoded) on the A5 held-out set and on a depth-4
-oracle fixture.  Those bits depend on numpy and the BLAS, so the file also
+oracle fixture.  The score matrices themselves are hashed too: the A5
+model's over the held-out walk, one query per call and in padded chunks,
+and a seeded, untrained float64 model's.  Those bits depend on numpy and the BLAS, so the file also
 records the environment it was made in; a different environment fails with
 the difference and the command that regenerates the file::
 
@@ -49,7 +51,12 @@ from spanlink.engine import (
     iter_extract,
     train,
 )
-from spanlink.model import save_checkpoint
+from spanlink.model import (
+    EncoderConfig,
+    init_encoder,
+    init_head,
+    save_checkpoint,
+)
 from spanlink.schema import parse_schema
 from spanlink.tokenizer import build_vocab, save_vocab
 
@@ -131,6 +138,35 @@ def _oracle_work() -> list[dict]:
     return _work_counts(scored, cfg.delta_ie)
 
 
+def _z_sha(matrices) -> str:
+    """sha256 over the shape and bytes of each score matrix, in order."""
+    h = hashlib.sha256()
+    for z in matrices:
+        h.update(repr(z.shape).encode())
+        h.update(np.ascontiguousarray(z).tobytes())
+    return h.hexdigest()
+
+
+def _walk_z(scorer, texts, schema, vocab, cfg) -> list:
+    """Every score matrix ``scorer`` returns while ``iter_extract`` walks
+    ``texts``: one ``many`` call per length-sorted chunk when it has that
+    method, else one call per query."""
+    recorder = RecordingScorer(scorer)
+    for _ in iter_extract(texts, schema, vocab, recorder, cfg):
+        pass
+    return recorder.matrices
+
+
+def _untrained_float64_z(texts, schema, vocab, cfg) -> str:
+    """Z hash of a seeded, untrained float64 model's batched walk."""
+    rng = np.random.default_rng(5)
+    enc = init_encoder(EncoderConfig(
+        vocab_size=len(vocab), d=cfg.d, layers=cfg.layers, heads=cfg.heads,
+        max_positions=cfg.max_prompt_len + cfg.max_len, dtype="float64"), rng)
+    head = init_head(cfg.d, cfg.d_head, rng, dtype="float64")
+    return _z_sha(_walk_z(ModelScorer(enc, head), texts, schema, vocab, cfg))
+
+
 def _untrained_cls_extract(root: Path) -> bytes:
     """``extract --data`` from a seeded, untrained model over the held-out
     file on ``CLS_SCHEMA``; ``delta_cls = 0.5`` lets the multi-label level
@@ -184,9 +220,10 @@ def outputs() -> dict:
             "heads=4\neval_tasks=entity,relation-strict\n", encoding="utf-8")
         common = ["--config", str(root / "run.cfg")]
         table = _run(["eval", *common, "--out", str(root / "report.jsonl")])
-        recorder = RecordingScorer(ModelScorer(result.enc, result.head))
-        for _ in iter_extract([ex.text for ex in ner_re_corpus(seed=9, n=300)],
-                              schema, vocab, recorder, cfg):
+        texts = [ex.text for ex in ner_re_corpus(seed=9, n=300)]
+        model = ModelScorer(result.enc, result.head)
+        recorder = RecordingScorer(model)
+        for _ in iter_extract(texts, schema, vocab, recorder, cfg):
             pass
         return {
             "a5_checkpoint_sha256": _sha((root / "a5.ckpt").read_bytes()),
@@ -205,6 +242,13 @@ def outputs() -> dict:
                  "--set", f"data={root / 'train.jsonl'}"])),
             "cls_levels_extract_data_sha256": _sha(
                 _untrained_cls_extract(root)),
+            # Z bits: one query per call (B = 1), the walk's padded
+            # chunks, and a float64 model's padded chunks
+            "a5_heldout_z_b1_sha256": _z_sha(_walk_z(
+                lambda query: model(query), texts, schema, vocab, cfg)),
+            "a5_heldout_z_many_sha256": _z_sha(recorder.matrices),
+            "untrained_float64_z_sha256": _untrained_float64_z(
+                texts, schema, vocab, cfg),
             "a5_heldout_work": _work_counts(
                 zip(recorder.queries, recorder.matrices), cfg.delta_ie),
             "oracle_depth4_work": _oracle_work(),
