@@ -15,8 +15,13 @@ error code to stderr (for example ``query.PromptOverflow: ...``).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from . import engine
 from .config import (
@@ -74,8 +79,6 @@ def _vocab_path(cfg: Config) -> str:
 
 
 def _obtain_vocab(cfg: Config, schema: Schema, build: bool) -> Vocab:
-    import os
-
     path = _vocab_path(cfg)
     if os.path.exists(path):
         return load_vocab(path)
@@ -90,13 +93,13 @@ def _obtain_vocab(cfg: Config, schema: Schema, build: bool) -> Vocab:
 
 def _load_model(cfg: Config):
     enc, head = load_checkpoint(cfg.checkpoint)
-    if (enc.config.d != cfg.d or enc.config.layers != cfg.layers
-            or enc.config.heads != cfg.heads or head.d_head != cfg.d_head):
+    dims = {k: getattr(enc.config, k) for k in ("d", "layers", "heads", "ffn_mult")}
+    dims["d_head"] = head.d_head
+    wrong = [f"{k}={v} (config {getattr(cfg, k)})" for k, v in dims.items()
+             if v != getattr(cfg, k)]
+    if wrong:
         raise CheckpointMismatch(
-            f"checkpoint dims (d={enc.config.d}, layers={enc.config.layers}, "
-            f"heads={enc.config.heads}, d_head={head.d_head}) do not match "
-            f"config"
-        )
+            f"checkpoint dims do not match config: {', '.join(wrong)}")
     return enc, head
 
 
@@ -255,7 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas_threads() -> None:
+    """One thread for numpy's bundled OpenBLAS unless OPENBLAS_NUM_THREADS
+    or OMP_NUM_THREADS is set: on a busy core a second one costs more."""
+    if {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}.isdisjoint(os.environ):
+        for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"):
+            pin = getattr(ctypes.CDLL(str(lib)),
+                          "scipy_openblas_set_num_threads64_", None)
+            if pin is not None:
+                pin.argtypes, pin.restype = [ctypes.c_int], None
+                pin(1)
+
+
 def main(argv=None) -> int:
+    _pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)

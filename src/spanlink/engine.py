@@ -311,6 +311,8 @@ class ModelScorer:
     @np.errstate(over="ignore", invalid="ignore")
     def many(self, queries) -> list[np.ndarray]:
         """Score matrices of several queries from one padded pass."""
+        if not queries:
+            return []
         hidden = encode_batch(self.enc, queries, workspace=self.workspace)
         return score_batch(self.head, hidden, queries)
 

@@ -27,11 +27,13 @@ is imported on the first float64 GELU, so float32 models run on numpy alone.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import struct
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .errors import (
     OddHeadDim,
     ShapeMismatch,
 )
-from .query import K_PAD, K_SEP, Query, fill_scored, isolation_mask
+from .query import K_SEP, K_TEXTMARK, Query, fill_scored, isolation_mask
 
 ROPE_BASE = 10000.0
 ROPE_TABLE_ROWS = 4096  # the most positions a head's rotary table covers
@@ -172,10 +174,9 @@ def _row_mean(x):
     return np.divide(np.add.reduce(x, axis=-1, keepdims=True), x.shape[-1])
 
 
-def _layernorm(x, g, b, out, ws=None):
+def _layernorm(x, g, b, out, xhat=None):
     """LayerNorm over the rows of ``x``, into ``out``, which may be ``x``."""
-    mu = _row_mean(x)
-    xhat = np.subtract(x, mu, out=_buf(ws, "ln.xhat", x.shape, x.dtype))
+    xhat = np.subtract(x, _row_mean(x), out=xhat)
     inv = _row_mean(np.multiply(xhat, xhat, out=out))
     inv += LN_EPS
     np.sqrt(inv, out=inv)
@@ -204,14 +205,14 @@ _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
           -7.37332916720468e-03, -1.42647390514189e-02)
 
 
-def _gelu(x, ws=None):
-    """x Phi(x) = x (1 + erf(x / sqrt 2)) / 2, erf by dtype as the module says."""
-    shape, dt = x.shape, x.dtype
-    phi = np.multiply(x, _INV_SQRT2, out=_buf(ws, "gelu.phi", shape, dt))
-    out = _buf(ws, "gelu.out", shape, dt)
-    if dt == np.float32:
+def _gelu(x, scratch=None):
+    """x Phi(x) = x (1 + erf(x / sqrt 2)) / 2, erf by dtype as the module
+    says, using ``(phi, t, out)`` scratch buffers or fresh arrays."""
+    phi, t, out = scratch or (None, None, np.empty_like(x))
+    phi = np.multiply(x, _INV_SQRT2, out=phi)
+    if x.dtype == np.float32:
         np.minimum(np.maximum(phi, -4.0, out=phi), 4.0, out=phi)
-        t = np.multiply(phi, phi, out=_buf(ws, "gelu.t", shape, dt))
+        t = np.multiply(phi, phi, out=t)
         # Horner steps in out: phi *= P(t), then phi /= Q(t).
         for coefs, apply in ((_ERF_P, np.multiply), (_ERF_Q, np.divide)):
             np.multiply(t, coefs[0], out=out)
@@ -239,7 +240,10 @@ def _masked_softmax_inplace(s, scale: float, bias):
     """Row softmax of ``s * scale + bias``, computed in place in ``s``."""
     s *= scale
     s += bias
-    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+    # Short rows take their maxima faster from a transposed copy; a maximum
+    # is exact, so the bits are those of the direct reduction.
+    s -= (np.maximum.reduce(s.transpose(3, 0, 1, 2).copy())[..., None]
+          if s.shape[-1] <= 64 else np.maximum.reduce(s, axis=-1, keepdims=True))
     np.exp(s, out=s)
     s /= np.add.reduce(s, axis=-1, keepdims=True)
     return s
@@ -247,20 +251,58 @@ def _masked_softmax_inplace(s, scale: float, bias):
 
 # -------------------------------------------------------------- encoder ---
 
-def _check_query(config: EncoderConfig, query: Query) -> None:
-    n = len(query)
-    if any(v.shape != (n,) for v in (query.kinds, query.group_of, query.typeseg_of,
-                                     query.position_ids, query.token_type_ids)):
-        raise ShapeMismatch("segment vector length does not match query length")
-    for name, ids, size in (("token id", query.token_ids, config.vocab_size),
-                            ("position id", query.position_ids, config.max_positions),
-                            ("token type id", query.token_type_ids, 4),
-                            ("kind", query.kinds, K_SEP + 1)):
-        # One reduction per vector: viewed as unsigned, a negative value
-        # exceeds every bound.  K_PAD marks padded batch slots only.
-        if ids.size and np.maximum.reduce(ids.view(f"u{ids.itemsize}")) >= size:
-            raise DimensionMismatch(f"{name}s run {ids.min()} .. {ids.max()}, "
-                                    f"outside a table of {size}")
+def _checked_ids(config: EncoderConfig, queries):
+    """Token, position and type ids, flat over [B, n_max] (0 when padded;
+    token id 0 is [PAD] in every vocabulary), and n_max, once each query's
+    vectors fit it, its ids their tables, and its kinds from esi_len on are
+    [Text], text or [SEP]."""
+    n = max(len(q) for q in queries)
+    for q in queries:
+        if not (q.kinds.shape == q.group_of.shape == q.typeseg_of.shape
+                == q.position_ids.shape == q.token_type_ids.shape
+                == (len(q),) and 0 <= q.esi_len <= len(q)):
+            raise ShapeMismatch("segment vectors or esi_len do not fit the query")
+    if len(queries) == 1:  # no padding: the query's own arrays, uncopied
+        (q,) = queries
+        ids = (q.token_ids, q.position_ids, q.token_type_ids)
+    else:
+        ids = np.zeros((3, len(queries), n), dtype=np.int64)
+        for b, q in enumerate(queries):
+            ids[:, b, :len(q)] = q.token_ids, q.position_ids, q.token_type_ids
+        ids = ids.reshape(3, -1)
+    tails = np.concatenate([q.kinds[q.esi_len:] for q in queries])
+    for name, vals, low, size in (
+            ("token id", ids[0], 0, config.vocab_size),
+            ("position id", ids[1], 0, config.max_positions),
+            ("token type id", ids[2], 0, 4),
+            ("kind from [Text] on", tails, K_TEXTMARK, K_SEP + 1)):
+        # One reduction per array: viewed as unsigned, values below ``low``
+        # exceed every bound.
+        if vals.size and np.maximum.reduce((vals - low if low else vals).view(
+                f"u{vals.itemsize}")) >= size - low:
+            raise DimensionMismatch(f"{name}s run {vals.min()} .. {vals.max()}, "
+                                    f"outside a table of {low} .. {size - 1}")
+    return ids, n
+
+
+@functools.lru_cache(maxsize=32)
+def _prompt_bias(layout: bytes, dtype) -> np.ndarray:
+    """Read-only 0/-inf bias of a prompt (its kinds, groups and type
+    segments as int64 bytes).  Only prefix and type tokens are restricted,
+    so it holds every -inf cell of the query's isolation mask."""
+    kinds, group_of, typeseg_of = np.frombuffer(layout, np.int64).reshape(3, -1)
+    if kinds.size and not 0 <= kinds.min() <= kinds.max() <= K_SEP:
+        raise DimensionMismatch(f"kinds run {kinds.min()} .. {kinds.max()}, "
+                                f"outside a table of 0 .. {K_SEP}")
+    block = np.where(isolation_mask(kinds, group_of, typeseg_of),
+                     dtype.type(0), dtype.type(-np.inf))
+    block.setflags(write=False)
+    return block
+
+
+@functools.cache
+def _layer_names(i: int) -> tuple[str, ...]:
+    return tuple(f"l{i}.{leaf}" for leaf in _LAYER_BWD_ORDER)
 
 
 def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
@@ -269,7 +311,7 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
 
     Row b holds query b in its first ``len(queries[b])`` slots; the rest are
     [PAD] slots with position and type id 0.  The isolation rules of all
-    rows become one additive bias, built from the padded segment vectors (0
+    rows become one additive bias, built from memoized prompt blocks (0
     where attention is allowed, -inf where it is not, and -inf at every
     padded key), that all layers and heads share, so a query's hidden states
     do not depend on what else is in the batch.  Each padded slot attends to
@@ -278,60 +320,62 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
     caller keeps across calls) unless the pass keeps a backward cache.
     """
     cfg = enc.config
-    for query in queries:
-        _check_query(cfg, query)
+    ids, n = _checked_ids(cfg, queries)
     ws = None if want_cache else workspace
     p = enc.params
-    B, n = len(queries), max(len(q) for q in queries)
-    d, H = cfg.d, cfg.heads
+    B, d, H, m = len(queries), cfg.d, cfg.heads, cfg.ffn_mult * cfg.d
     dh = d // H
     N = B * n
     scale = 1.0 / math.sqrt(dh)
     dt = p["tok_emb"].dtype
-
-    # Token, position and type ids; padded slots keep 0 in all three, and
-    # token id 0 is [PAD] in every vocabulary.
-    ids = np.zeros((3, B, n), dtype=np.int64)
-    kinds = np.full((B, n), K_PAD, dtype=np.int8)
-    segs = np.full((2, B, n), -1, dtype=np.int64)
-    for b, query in enumerate(queries):
-        m = len(query)
-        ids[:, b, :m] = query.token_ids, query.position_ids, query.token_type_ids
-        kinds[b, :m] = query.kinds
-        segs[:, b, :m] = query.group_of, query.typeseg_of
-    real = kinds != K_PAD
-    allowed = isolation_mask(kinds, segs[0], segs[1]) & real[:, None, :]
-    allowed[~real] = np.arange(n) == 0
-    bias = np.where(allowed, dt.type(0), dt.type(-np.inf))[:, None]
+    bias = _buf(ws, "bias", (B, 1, n, n), dt)
+    bias.fill(0)
+    for b, q in enumerate(queries):
+        e, k = q.esi_len, len(q)
+        bias[b, 0, :e, :e] = _prompt_bias(np.concatenate(
+            (q.kinds[:e], q.group_of[:e], q.typeseg_of[:e]), dtype=np.int64,
+            casting="unsafe").tobytes(), dt)
+        if k < n:  # padded keys closed; padded rows open to key 0 only
+            bias[b, 0, :k, k:] = bias[b, 0, k:, 1:] = -np.inf
 
     # Token rows stay flat, [B * n, d], so every projection is one matmul;
     # only attention sees the batch axis.  The residual stream x never comes
     # from the workspace: it becomes the returned hidden states.
-    x = (p["tok_emb"][ids[0]] + p["pos_emb"][ids[1]]
-         + p["type_emb"][ids[2]]).reshape(N, d)
+    x = p["tok_emb"][ids[0]] + p["pos_emb"][ids[1]] + p["type_emb"][ids[2]]
 
     def heads(t):
         return t.reshape(B, n, H, dh).transpose(0, 2, 1, 3)
 
-    def buf(name, *shape):
-        return _buf(ws, name, shape, dt)
+    def scratch():
+        # Every buffer a layer writes: workspace views resolved once per
+        # pass, or fresh arrays per layer in a pass that keeps a cache.  A
+        # name repeats where a buffer is dead before its second use.
+        return [_buf(ws, name, shape, dt) for name, shape in (
+            ("a", (N, d)), ("a", (N, d)), ("qkv", (N, 3 * d)),
+            ("s", (B, H, n, n)), ("s", (N, m)), ("ctx", (N, d)),
+            ("proj", (N, d)), ("wqkv", (d, 3 * d)), ("bqkv", (3 * d,)),
+            ("ln.xhat", (N, d)), ("ln.xhat", (N, d)), ("gelu.phi", (N, m)),
+            ("gelu.t", (N, m)), ("gelu.out", (N, m)))]
 
     layer_caches = []
     for i in range(cfg.layers):
-        w = {leaf: p[f"l{i}.{leaf}"] for leaf in _LAYER_BWD_ORDER}
-        a, ln1c = _layernorm(x, w["ln1.g"], w["ln1.b"], buf("a", N, d), ws)
-        q4, k4, v4 = (heads(_affine(a, w[f"attn.w{c}"], w[f"attn.b{c}"],
-                                    buf(c, N, d))) for c in "qkv")
-        s = np.matmul(q4, k4.transpose(0, 1, 3, 2), out=buf("s", B, H, n, n))
-        attn = _masked_softmax_inplace(s, scale, bias)
-        ctx = buf("ctx", N, d)
+        if i == 0 or want_cache:
+            a, b2_, qkv, s, h, ctx, proj, wqkv, bqkv, ln1, ln2, *gelu = scratch()
+            q4, k4, v4 = (heads(qkv[:, j * d:(j + 1) * d]) for j in range(3))
+        (w2, b2, w1, b1, g2, c2, wo, bo, wq, bq, wk, bk, wv, bv, g1,
+         c1) = map(p.__getitem__, _layer_names(i))
+        a, ln1c = _layernorm(x, g1, c1, a, ln1)
+        # The weights are joined per pass, never kept: the optimizer
+        # updates the parameters in place.
+        _affine(a, np.concatenate((wq, wk, wv), axis=1, out=wqkv),
+                np.concatenate((bq, bk, bv), out=bqkv), qkv)
+        attn = _masked_softmax_inplace(
+            np.matmul(q4, k4.transpose(0, 1, 3, 2), out=s), scale, bias)
         np.matmul(attn, v4, out=heads(ctx))
-        x += _affine(ctx, w["attn.wo"], w["attn.bo"], buf("proj", N, d))
-        b2_, ln2c = _layernorm(x, w["ln2.g"], w["ln2.b"], buf("a", N, d), ws)
-        # The attention scores are dead by now; h takes their memory.
-        h = _affine(b2_, w["ffn.w1"], w["ffn.b1"], buf("s", N, cfg.ffn_mult * d))
-        gact, gc = _gelu(h, ws)
-        x += _affine(gact, w["ffn.w2"], w["ffn.b2"], buf("proj", N, d))
+        x += _affine(ctx, wo, bo, proj)
+        b2_, ln2c = _layernorm(x, g2, c2, b2_, ln2)
+        gact, gc = _gelu(_affine(b2_, w1, b1, h), gelu)
+        x += _affine(gact, w2, b2, proj)
         if want_cache:
             layer_caches.append({
                 "ln1": ln1c, "a": a, "q4": q4, "k4": k4, "v4": v4,
@@ -339,12 +383,15 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
                 "gelu": gc, "gact": gact,
             })
 
-    x, lnfc = _layernorm(x, p["lnf.g"], p["lnf.b"], x, ws)
+    x, lnfc = _layernorm(x, p["lnf.g"], p["lnf.b"], x,
+                         _buf(ws, "ln.xhat", (N, d), dt))
 
     hidden = x.reshape(B, n, d)
     if want_cache:
+        lens = np.array([len(q) for q in queries])
         return hidden, {"layers": layer_caches, "lnf": lnfc, "scale": scale,
-                        "ids": ids, "real": real}
+                        "ids": np.reshape(ids, (3, B, n)),
+                        "real": np.arange(n) < lens[:, None]}
     return hidden
 
 
@@ -454,8 +501,8 @@ def _rope_rows(head: ScoringHead, positions, dtype):
     """``rope_tables(positions, head.d_head, dtype)`` by lookup in the head's
     table, rebuilt when a position outgrows it; positions outside
     [0, ROPE_TABLE_ROWS) are computed per call."""
-    top = int(positions.max(initial=0)) + 1
-    if top > ROPE_TABLE_ROWS or positions.min(initial=0) < 0:
+    top = int(np.maximum.reduce(positions, initial=0)) + 1
+    if top > ROPE_TABLE_ROWS or np.minimum.reduce(positions, initial=0) < 0:
         return rope_tables(positions, head.d_head, dtype)
     tables = head.rope.get(dtype)
     if tables is None or len(tables[0]) < top:
@@ -464,20 +511,23 @@ def _rope_rows(head: ScoringHead, positions, dtype):
 
 
 def apply_rope(x, cos, sin):
-    """Rotate consecutive coordinate pairs of x by the per-position angles."""
-    xe, xo = x[:, 0::2], x[:, 1::2]
+    """Rotate consecutive pairs of x's last axis by the per-position angles."""
+    xe, xo = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
-    out[:, 0::2] = xe * cos - xo * sin
-    out[:, 1::2] = xe * sin + xo * cos
+    np.subtract(xe * cos, xo * sin, out=out[..., 0::2])
+    np.add(xe * sin, xo * cos, out=out[..., 1::2])
     return out
 
 
-def _rope_bwd(dy, cos, sin):
-    de, do = dy[:, 0::2], dy[:, 1::2]
-    dx = np.empty_like(dy)
-    dx[:, 0::2] = de * cos + do * sin
-    dx[:, 1::2] = -de * sin + do * cos
-    return dx
+@functools.lru_cache(maxsize=64)
+def _scored_mask(mode, text_start, text_len, clst_pos, marks: bytes, m):
+    """Read-only [m, m] bool of the cells ``fill_scored`` writes, memoized
+    per layout: at most 64 masks of max_len^2 bytes."""
+    mask = fill_scored(SimpleNamespace(
+        mode=mode, text_start=text_start, text_len=text_len, clst_pos=clst_pos,
+        marker_pos=np.frombuffer(marks, np.int64)), np.zeros((m, m), bool), True)
+    mask.setflags(write=False)
+    return mask
 
 
 def score_batch(head: ScoringHead, hidden: np.ndarray, queries,
@@ -494,14 +544,19 @@ def score_batch(head: ScoringHead, hidden: np.ndarray, queries,
     positions = np.zeros((B, n), dtype=np.int64)
     for b, query in enumerate(queries):
         positions[b, :len(query)] = query.position_ids
-    q = rows @ head.params["q.w"] + head.params["q.b"]
-    k = rows @ head.params["k.w"] + head.params["k.b"]
+    hp = head.params  # q and k from one matmul, rotated as one [2, B * n, d']
+    qk = rows @ np.concatenate((hp["q.w"], hp["k.w"]), axis=1)
+    qk += np.concatenate((hp["q.b"], hp["k.b"]))
     cos, sin = _rope_rows(head, positions.reshape(-1), rows.dtype)
-    rq = apply_rope(q, cos, sin)
-    rk = apply_rope(k, cos, sin)
+    rq, rk = apply_rope(qk.reshape(B * n, 2, -1).transpose(1, 0, 2), cos, sin)
     raw = rq.reshape(B, n, -1) @ rk.reshape(B, n, -1).transpose(0, 2, 1)
-    zs = [fill_scored(query, np.full((len(query),) * 2, -np.inf, raw.dtype),
-                      raw[b]) for b, query in enumerate(queries)]
+    zs = []
+    for b, q in enumerate(queries):
+        m = len(q)
+        zs.append(np.full((m, m), -np.inf, raw.dtype))
+        np.copyto(zs[-1], raw[b, :m, :m], where=_scored_mask(
+            q.mode, q.text_start, q.text_len, q.clst_pos,
+            np.asarray(q.marker_pos, np.int64).tobytes(), m))
     if want_cache:
         return zs, {"hidden": rows, "rq": rq, "rk": rk, "cos": cos, "sin": sin}
     return zs
@@ -523,8 +578,8 @@ def _score_bwd(head: ScoringHead, cache, d_z, grads: dict[str, np.ndarray]):
     rk = cache["rk"].reshape(B, n, -1)
     d_rq = (d_z @ rk).reshape(B * n, -1)
     d_rk = (d_z.transpose(0, 2, 1) @ rq).reshape(B * n, -1)
-    d_q = _rope_bwd(d_rq, cache["cos"], cache["sin"])
-    d_k = _rope_bwd(d_rk, cache["cos"], cache["sin"])
+    # the transposed rotation is the rotation by minus the angle
+    d_q, d_k = (apply_rope(g, cache["cos"], -cache["sin"]) for g in (d_rq, d_rk))
     hidden = cache["hidden"]
 
     grads["q.w"] += hidden.T @ d_q
@@ -581,7 +636,7 @@ def zero_grads(enc: EncoderParams, head: ScoringHead):
     cfg = enc.config
     names = ["lnf.g", "lnf.b"]
     for i in reversed(range(cfg.layers)):
-        names += [f"l{i}.{leaf}" for leaf in _LAYER_BWD_ORDER]
+        names += _layer_names(i)
     names += ["tok_emb", "pos_emb", "type_emb"]
     return ({name: np.zeros_like(enc.params[name]) for name in names},
             {name: np.zeros_like(t) for name, t in head.params.items()})

@@ -60,14 +60,14 @@ from .tokenizer import (
     word_split,
 )
 
-# Segment kinds, one per token; K_PAD only fills padded batch slots.
-K_CLS, K_PREFIX, K_TYPE, K_CLST, K_TEXTMARK, K_TEXT, K_SEP, K_PAD = range(8)
+# Segment kinds, one per token.
+K_CLS, K_PREFIX, K_TYPE, K_CLST, K_TEXTMARK, K_TEXT, K_SEP = range(7)
 
 # Per-kind lookup tables, indexed by a query's ``kinds`` array: the token
 # type id, and whether the token attends and is attended everywhere.
 _TOKEN_TYPE_IDS = np.zeros(7, dtype=np.int64)
 _TOKEN_TYPE_IDS[[K_PREFIX, K_TYPE, K_CLST]] = 1, 2, 3
-_IS_GLOBAL = np.zeros(8, dtype=bool)
+_IS_GLOBAL = np.zeros(7, dtype=bool)
 _IS_GLOBAL[[K_CLS, K_SEP, K_CLST, K_TEXTMARK, K_TEXT]] = True
 
 

@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -519,6 +521,62 @@ def test_checkpoint_dimension_mismatch(trained, tmp_path, capsys):
                "--set", "d=32", "--out", str(tmp_path / "r.jsonl")])
     assert rc == 1
     assert _stderr_code(capsys) == "model.CheckpointMismatch"
+
+
+def test_checkpoint_of_another_ffn_width_fails_eval(trained, tmp_path,
+                                                   capsys):
+    """A config whose ``ffn_mult`` differs from the checkpoint's is one
+    ``model.CheckpointMismatch`` line naming both values."""
+    capsys.readouterr()
+    rc = main(["eval", "--config", str(trained / "run.cfg"),
+               "--set", "ffn_mult=2", "--out", str(tmp_path / "r.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("model.CheckpointMismatch: ")
+    assert "ffn_mult=4 (config 2)" in err[0]
+
+
+_BLAS_THREADS = r'''
+import ctypes, glob
+from pathlib import Path
+import numpy as np
+from spanlink.cli import main
+
+libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+get = None
+for path in sorted(glob.glob(str(libs / "*openblas*"))):
+    get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        break
+if get is None:
+    print("none")
+else:
+    get.argtypes, get.restype = [], ctypes.c_int
+    before = get()
+    main(["dump-queries", "--config", "absent.cfg"])
+    print(before, get())
+'''
+
+
+@pytest.mark.parametrize("chosen", [None, "OPENBLAS_NUM_THREADS",
+                                    "OMP_NUM_THREADS"])
+def test_cli_pins_blas_threads_unless_the_user_chose(chosen, tmp_path):
+    """In a fresh interpreter, ``main`` leaves numpy's OpenBLAS on one
+    thread, or on the count it started with when either variable is set."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if chosen:
+        env[chosen] = "2"
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = str(root / "src")
+    done = subprocess.run([sys.executable, "-c", _BLAS_THREADS], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    if done.stdout.strip() == "none":
+        pytest.skip("numpy's bundled OpenBLAS reports no thread count")
+    before, after = map(int, done.stdout.split())
+    assert after == (before if chosen else 1)
 
 
 @pytest.mark.parametrize("final_norm", [False, None])

@@ -342,6 +342,19 @@ def test_iter_extract_preserves_order_and_matches_serial(corpus):
     assert len(batched) == len(texts)
 
 
+def test_many_of_no_queries_is_empty(corpus):
+    """An empty batch scores to an empty list through a model, a recorder
+    over a model, and a plain function, as ``_many_of`` adapts it."""
+    _, vocab, _ = corpus
+    enc, head = build_model(small_train_config(), len(vocab),
+                            np.random.default_rng(11))
+    model = ModelScorer(enc, head)
+    recorder = RecordingScorer(model)
+    assert model.many([]) == []
+    assert recorder.many([]) == [] and recorder.queries == []
+    assert RecordingScorer(lambda query: model(query)).many([]) == []
+
+
 @pytest.fixture(scope="module")
 def a5_scorer():
     """The A5 recipe's model, trained to F1 = 1.0 on 50 sentences."""

@@ -39,7 +39,7 @@ from spanlink import model as model_module
 from spanlink.data import PathElement
 from spanlink.engine import ModelScorer
 from spanlink.optim import AdamW, _decays, clip_grad_norm, flat_buffers
-from spanlink.query import K_PAD, K_SEP, PrefixGroup, build_target
+from spanlink.query import K_SEP, PrefixGroup, build_target, isolation_mask
 from spanlink.schema import LevelMode
 
 
@@ -122,15 +122,15 @@ def test_encode_rejects_negative_position_ids():
 
 @pytest.mark.parametrize("field", ["token_ids", "token_type_ids", "kinds"])
 def test_encode_rejects_ids_and_kinds_out_of_range(field):
-    """A value of -1 would read the last table row (or, as a kind, mark a
-    real token as padding) and lower or too-high values would fail inside
-    numpy; every such value ends in ``DimensionMismatch``."""
+    """A value of -1 would read the last table row and lower or too-high
+    values would fail inside numpy; every such value, and every kind past
+    ``K_SEP``, ends in ``DimensionMismatch``."""
     rng = np.random.default_rng(5)
     vocab, enc, _ = _setup(rng)
     q, _ = _rand_query(rng, vocab)
     values = {"token_ids": (-1, -10**6, enc.config.vocab_size, 10**6),
               "token_type_ids": (-1, -10**6, 4, 10**6),
-              "kinds": (-1, -100, K_PAD, K_SEP + 2)}[field]
+              "kinds": (-1, -100, K_SEP + 1, K_SEP + 2)}[field]
     for value in values:
         bad = getattr(q, field).copy()
         bad[len(bad) // 2] = value
@@ -860,6 +860,78 @@ def test_batched_bias_equals_per_query_scatter(dtype, monkeypatch):
         assert seen[0].dtype == want.dtype and seen[0].shape == want.shape
         assert seen[0].tobytes() == want.tobytes()
     assert padded > 1000
+
+
+_HAND_BUILT_ENC = {dt: _setup(np.random.default_rng(73), dtype=dt)
+                   for dt in ("float32", "float64")}
+
+
+@st.composite
+def _hand_built_query(draw, base):
+    """``base`` with drawn kinds, group and type segment ids and esi_len:
+    any kinds in the prompt, [Text], text or [SEP] after it, and in a
+    quarter of the draws one kind anywhere replaced by one in -1 .. K_SEP + 1."""
+    n = len(base)
+    esi = draw(st.integers(0, n))
+    kinds = (draw(st.lists(st.integers(0, K_SEP), min_size=esi, max_size=esi))
+             + draw(st.lists(st.integers(K_SEP - 2, K_SEP), min_size=n - esi,
+                             max_size=n - esi)))
+    if draw(st.integers(0, 3)) == 0:
+        kinds[draw(st.integers(0, n - 1))] = draw(st.integers(-1, K_SEP + 1))
+    seg_dtype = draw(st.sampled_from([np.int64, np.int32]))
+    segs = [np.array(draw(st.lists(st.integers(-2, 3), min_size=n,
+                                   max_size=n)), dtype=seg_dtype)
+            for _ in range(2)]
+    return dataclasses.replace(
+        base, kinds=np.array(kinds, dtype=np.int8), esi_len=esi,
+        group_of=segs[0], typeseg_of=segs[1])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), dtype=st.sampled_from(["float32", "float64"]))
+def test_prompt_block_bias_equals_isolation_mask(data, dtype, monkeypatch):
+    """For hand-built queries in batches of one to three, the bias
+    ``encode_batch`` hands the softmax (memoized prompt blocks, padding
+    fix-ups) equals, byte for byte, the bias built from ``isolation_mask``
+    over each whole query, whenever the encoder accepts the batch; it
+    rejects a batch only for a kind outside the table or a kind other than
+    [Text], text or [SEP] from esi_len on, and its memoized blocks are
+    read-only."""
+    vocab, enc, _ = _HAND_BUILT_ENC[dtype]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    queries = [data.draw(_hand_built_query(_rand_query(rng, vocab)[0]))
+               for _ in range(data.draw(st.integers(1, 3)))]
+    seen = []
+    softmax = model_module._masked_softmax_inplace
+    monkeypatch.setattr(model_module, "_masked_softmax_inplace",
+                        lambda s, scale, bias: seen.append(bias)
+                        or softmax(s, scale, bias))
+    bad = any(not 0 <= k <= K_SEP for q in queries for k in q.kinds) or any(
+        not K_SEP - 2 <= k <= K_SEP for q in queries
+        for k in q.kinds[q.esi_len:])
+    try:
+        encode_batch(enc, queries)
+    except DimensionMismatch:
+        assert bad
+        return
+    assert not bad
+    n = max(len(q) for q in queries)
+    want = np.full((len(queries), 1, n, n), -np.inf, dtype=dtype)
+    for b, q in enumerate(queries):
+        m = len(q)
+        allowed = isolation_mask(q.kinds, q.group_of.astype(np.int64),
+                                 q.typeseg_of.astype(np.int64))
+        want[b, 0, :m, :m][allowed] = 0.0
+        want[b, 0, m:, 0] = 0.0
+    assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
+    block = model_module._prompt_bias(np.concatenate(
+        (queries[0].kinds[:queries[0].esi_len],
+         queries[0].group_of[:queries[0].esi_len],
+         queries[0].typeseg_of[:queries[0].esi_len]),
+        dtype=np.int64).tobytes(), np.dtype(dtype))
+    with pytest.raises(ValueError):
+        block[...] = 0
 
 
 @pytest.mark.parametrize("field", ["kinds", "group_of", "typeseg_of",
