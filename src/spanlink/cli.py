@@ -94,12 +94,10 @@ def _obtain_vocab(cfg: Config, schema: Schema, build: bool) -> Vocab:
 def _load_model(cfg: Config):
     enc, head = load_checkpoint(cfg.checkpoint)
     dims = {k: getattr(enc.config, k) for k in ("d", "layers", "heads", "ffn_mult")}
-    dims["d_head"] = head.d_head
-    wrong = [f"{k}={v} (config {getattr(cfg, k)})" for k, v in dims.items()
-             if v != getattr(cfg, k)]
+    wrong = [f"{k}={v} (config {getattr(cfg, k)})" for k, v in
+             {**dims, "d_head": head.d_head}.items() if v != getattr(cfg, k)]
     if wrong:
-        raise CheckpointMismatch(
-            f"checkpoint dims do not match config: {', '.join(wrong)}")
+        raise CheckpointMismatch(f"checkpoint dims do not match config: {', '.join(wrong)}")
     return enc, head
 
 
@@ -263,14 +261,14 @@ def _pin_blas_threads() -> None:
     or OMP_NUM_THREADS is set: on a busy core a second one costs more."""
     if {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}.isdisjoint(os.environ):
         for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"):
-            pin = getattr(ctypes.CDLL(str(lib)),
-                          "scipy_openblas_set_num_threads64_", None)
-            if pin is not None:
-                pin.argtypes, pin.restype = [ctypes.c_int], None
-                pin(1)
+            # one C int argument, no result; without the symbol, no change
+            getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_",
+                    lambda threads: None)(1)
 
 
 def main(argv=None) -> int:
+    # The pin holds for the whole process and outlasts this call, so an
+    # in-process caller keeps one BLAS thread unless it set either variable.
     _pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:

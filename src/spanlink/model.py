@@ -33,7 +33,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -240,8 +239,7 @@ def _masked_softmax_inplace(s, scale: float, bias):
     """Row softmax of ``s * scale + bias``, computed in place in ``s``."""
     s *= scale
     s += bias
-    # Short rows take their maxima faster from a transposed copy; a maximum
-    # is exact, so the bits are those of the direct reduction.
+    # Short rows take their (exact) maxima faster from a transposed copy.
     s -= (np.maximum.reduce(s.transpose(3, 0, 1, 2).copy())[..., None]
           if s.shape[-1] <= 64 else np.maximum.reduce(s, axis=-1, keepdims=True))
     np.exp(s, out=s)
@@ -252,47 +250,37 @@ def _masked_softmax_inplace(s, scale: float, bias):
 # -------------------------------------------------------------- encoder ---
 
 def _checked_ids(config: EncoderConfig, queries):
-    """Token, position and type ids, flat over [B, n_max] (0 when padded;
-    token id 0 is [PAD] in every vocabulary), and n_max, once each query's
-    vectors fit it, its ids their tables, and its kinds from esi_len on are
-    [Text], text or [SEP]."""
-    n = max(len(q) for q in queries)
-    for q in queries:
-        if not (q.kinds.shape == q.group_of.shape == q.typeseg_of.shape
-                == q.position_ids.shape == q.token_type_ids.shape
-                == (len(q),) and 0 <= q.esi_len <= len(q)):
+    """Token, position and type ids, [3, B, n_max] (0 when padded; token id
+    0 is [PAD] in every vocabulary), once each query's vectors fit it, its
+    ids their tables, and its kinds from esi_len on are [Text], text or [SEP]."""
+    ids = np.zeros((3, len(queries), max(len(q) for q in queries)), np.int64)
+    for b, q in enumerate(queries):
+        vecs = (q.kinds, q.group_of, q.typeseg_of, q.position_ids, q.token_type_ids)
+        if {v.shape for v in vecs} != {(len(q),)} or not 0 <= q.esi_len <= len(q):
             raise ShapeMismatch("segment vectors or esi_len do not fit the query")
-    if len(queries) == 1:  # no padding: the query's own arrays, uncopied
-        (q,) = queries
-        ids = (q.token_ids, q.position_ids, q.token_type_ids)
-    else:
-        ids = np.zeros((3, len(queries), n), dtype=np.int64)
-        for b, q in enumerate(queries):
-            ids[:, b, :len(q)] = q.token_ids, q.position_ids, q.token_type_ids
-        ids = ids.reshape(3, -1)
+        ids[:, b, :len(q)] = q.token_ids, q.position_ids, q.token_type_ids
     tails = np.concatenate([q.kinds[q.esi_len:] for q in queries])
     for name, vals, low, size in (
-            ("token id", ids[0], 0, config.vocab_size),
-            ("position id", ids[1], 0, config.max_positions),
-            ("token type id", ids[2], 0, 4),
-            ("kind from [Text] on", tails, K_TEXTMARK, K_SEP + 1)):
+            ("token ids", ids[0], 0, config.vocab_size),
+            ("position ids", ids[1], 0, config.max_positions),
+            ("token type ids", ids[2], 0, 4),
+            ("kinds after the prompt", tails, K_TEXTMARK, K_SEP + 1)):
         # One reduction per array: viewed as unsigned, values below ``low``
         # exceed every bound.
-        if vals.size and np.maximum.reduce((vals - low if low else vals).view(
-                f"u{vals.itemsize}")) >= size - low:
-            raise DimensionMismatch(f"{name}s run {vals.min()} .. {vals.max()}, "
+        if np.maximum.reduce((vals - low if low else vals).view(
+                f"u{vals.itemsize}"), axis=None, initial=0) >= size - low:
+            raise DimensionMismatch(f"{name} run {vals.min()} .. {vals.max()}, "
                                     f"outside a table of {low} .. {size - 1}")
-    return ids, n
+    return ids
 
 
 @functools.lru_cache(maxsize=32)
 def _prompt_bias(layout: bytes, dtype) -> np.ndarray:
-    """Read-only 0/-inf bias of a prompt (its kinds, groups and type
-    segments as int64 bytes).  Only prefix and type tokens are restricted,
-    so it holds every -inf cell of the query's isolation mask."""
+    """Read-only 0/-inf bias of a prompt from its kinds, groups and type
+    segments as int64 bytes: every -inf cell of its query's isolation mask."""
     kinds, group_of, typeseg_of = np.frombuffer(layout, np.int64).reshape(3, -1)
     if kinds.size and not 0 <= kinds.min() <= kinds.max() <= K_SEP:
-        raise DimensionMismatch(f"kinds run {kinds.min()} .. {kinds.max()}, "
+        raise DimensionMismatch(f"prompt kinds run {kinds.min()} .. {kinds.max()}, "
                                 f"outside a table of 0 .. {K_SEP}")
     block = np.where(isolation_mask(kinds, group_of, typeseg_of),
                      dtype.type(0), dtype.type(-np.inf))
@@ -320,10 +308,10 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
     caller keeps across calls) unless the pass keeps a backward cache.
     """
     cfg = enc.config
-    ids, n = _checked_ids(cfg, queries)
+    ids = _checked_ids(cfg, queries)
     ws = None if want_cache else workspace
     p = enc.params
-    B, d, H, m = len(queries), cfg.d, cfg.heads, cfg.ffn_mult * cfg.d
+    (B, n), d, H, m = ids.shape[1:], cfg.d, cfg.heads, cfg.ffn_mult * cfg.d
     dh = d // H
     N = B * n
     scale = 1.0 / math.sqrt(dh)
@@ -332,24 +320,23 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
     bias.fill(0)
     for b, q in enumerate(queries):
         e, k = q.esi_len, len(q)
-        bias[b, 0, :e, :e] = _prompt_bias(np.concatenate(
-            (q.kinds[:e], q.group_of[:e], q.typeseg_of[:e]), dtype=np.int64,
-            casting="unsafe").tobytes(), dt)
+        bias[b, 0, :e, :e] = _prompt_bias(np.stack(
+            (q.kinds, q.group_of, q.typeseg_of), dtype=np.int64)[:, :e].tobytes(), dt)
         if k < n:  # padded keys closed; padded rows open to key 0 only
             bias[b, 0, :k, k:] = bias[b, 0, k:, 1:] = -np.inf
 
     # Token rows stay flat, [B * n, d], so every projection is one matmul;
     # only attention sees the batch axis.  The residual stream x never comes
     # from the workspace: it becomes the returned hidden states.
-    x = p["tok_emb"][ids[0]] + p["pos_emb"][ids[1]] + p["type_emb"][ids[2]]
+    x = (p["tok_emb"][ids[0]] + p["pos_emb"][ids[1]]
+         + p["type_emb"][ids[2]]).reshape(N, d)
 
     def heads(t):
         return t.reshape(B, n, H, dh).transpose(0, 2, 1, 3)
 
     def scratch():
-        # Every buffer a layer writes: workspace views resolved once per
-        # pass, or fresh arrays per layer in a pass that keeps a cache.  A
-        # name repeats where a buffer is dead before its second use.
+        # Every buffer a layer writes, fresh per layer in a pass that keeps a
+        # cache; a name repeats where a buffer is dead before its second use.
         return [_buf(ws, name, shape, dt) for name, shape in (
             ("a", (N, d)), ("a", (N, d)), ("qkv", (N, 3 * d)),
             ("s", (B, H, n, n)), ("s", (N, m)), ("ctx", (N, d)),
@@ -365,8 +352,7 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
         (w2, b2, w1, b1, g2, c2, wo, bo, wq, bq, wk, bk, wv, bv, g1,
          c1) = map(p.__getitem__, _layer_names(i))
         a, ln1c = _layernorm(x, g1, c1, a, ln1)
-        # The weights are joined per pass, never kept: the optimizer
-        # updates the parameters in place.
+        # Joined per pass, never kept: the optimizer updates them in place.
         _affine(a, np.concatenate((wq, wk, wv), axis=1, out=wqkv),
                 np.concatenate((bq, bk, bv), out=bqkv), qkv)
         attn = _masked_softmax_inplace(
@@ -388,10 +374,9 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
 
     hidden = x.reshape(B, n, d)
     if want_cache:
-        lens = np.array([len(q) for q in queries])
+        lens = np.array([len(q) for q in queries])[:, None]
         return hidden, {"layers": layer_caches, "lnf": lnfc, "scale": scale,
-                        "ids": np.reshape(ids, (3, B, n)),
-                        "real": np.arange(n) < lens[:, None]}
+                        "ids": ids, "real": np.arange(n) < lens}
     return hidden
 
 
@@ -519,17 +504,6 @@ def apply_rope(x, cos, sin):
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _scored_mask(mode, text_start, text_len, clst_pos, marks: bytes, m):
-    """Read-only [m, m] bool of the cells ``fill_scored`` writes, memoized
-    per layout: at most 64 masks of max_len^2 bytes."""
-    mask = fill_scored(SimpleNamespace(
-        mode=mode, text_start=text_start, text_len=text_len, clst_pos=clst_pos,
-        marker_pos=np.frombuffer(marks, np.int64)), np.zeros((m, m), bool), True)
-    mask.setflags(write=False)
-    return mask
-
-
 def score_batch(head: ScoringHead, hidden: np.ndarray, queries,
                 want_cache: bool = False):
     """Token-pair score matrices for the queries of one ``encode_batch``
@@ -550,13 +524,8 @@ def score_batch(head: ScoringHead, hidden: np.ndarray, queries,
     cos, sin = _rope_rows(head, positions.reshape(-1), rows.dtype)
     rq, rk = apply_rope(qk.reshape(B * n, 2, -1).transpose(1, 0, 2), cos, sin)
     raw = rq.reshape(B, n, -1) @ rk.reshape(B, n, -1).transpose(0, 2, 1)
-    zs = []
-    for b, q in enumerate(queries):
-        m = len(q)
-        zs.append(np.full((m, m), -np.inf, raw.dtype))
-        np.copyto(zs[-1], raw[b, :m, :m], where=_scored_mask(
-            q.mode, q.text_start, q.text_len, q.clst_pos,
-            np.asarray(q.marker_pos, np.int64).tobytes(), m))
+    zs = [fill_scored(query, np.full((len(query),) * 2, -np.inf, raw.dtype),
+                      raw[b]) for b, query in enumerate(queries)]
     if want_cache:
         return zs, {"hidden": rows, "rq": rq, "rk": rk, "cos": cos, "sin": sin}
     return zs
