@@ -97,7 +97,8 @@ def _load_model(cfg: Config):
     wrong = [f"{k}={v} (config {getattr(cfg, k)})" for k, v in
              {**dims, "d_head": head.d_head}.items() if v != getattr(cfg, k)]
     if wrong:
-        raise CheckpointMismatch(f"checkpoint dims do not match config: {', '.join(wrong)}")
+        raise CheckpointMismatch("checkpoint dims do not match config: "
+                                 + ", ".join(wrong))
     return enc, head
 
 
@@ -257,11 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pin_blas_threads() -> None:
-    """One thread for numpy's bundled OpenBLAS unless OPENBLAS_NUM_THREADS
-    or OMP_NUM_THREADS is set: on a busy core a second one costs more."""
+    """One thread for numpy's bundled OpenBLAS (on a busy core a second one
+    costs more) unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set; a
+    build without the setter, which takes a C int, is left as it is."""
     if {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}.isdisjoint(os.environ):
         for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"):
-            # one C int argument, no result; without the symbol, no change
             getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_",
                     lambda threads: None)(1)
 

@@ -276,8 +276,8 @@ def _checked_ids(config: EncoderConfig, queries):
 
 @functools.lru_cache(maxsize=32)
 def _prompt_bias(layout: bytes, dtype) -> np.ndarray:
-    """Read-only 0/-inf bias of a prompt from its kinds, groups and type
-    segments as int64 bytes: every -inf cell of its query's isolation mask."""
+    """Read-only 0/-inf bias of a prompt's kinds, groups and type segments as
+    int64 bytes; only prefix and type tokens, all in the prompt, are restricted."""
     kinds, group_of, typeseg_of = np.frombuffer(layout, np.int64).reshape(3, -1)
     if kinds.size and not 0 <= kinds.min() <= kinds.max() <= K_SEP:
         raise DimensionMismatch(f"prompt kinds run {kinds.min()} .. {kinds.max()}, "
@@ -320,8 +320,9 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
     bias.fill(0)
     for b, q in enumerate(queries):
         e, k = q.esi_len, len(q)
-        bias[b, 0, :e, :e] = _prompt_bias(np.stack(
-            (q.kinds, q.group_of, q.typeseg_of), dtype=np.int64)[:, :e].tobytes(), dt)
+        bias[b, 0, :e, :e] = _prompt_bias(np.concatenate(
+            (q.kinds[:e], q.group_of[:e], q.typeseg_of[:e]), dtype=np.int64
+        ).tobytes(), dt)
         if k < n:  # padded keys closed; padded rows open to key 0 only
             bias[b, 0, :k, k:] = bias[b, 0, k:, 1:] = -np.inf
 
@@ -330,9 +331,6 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
     # from the workspace: it becomes the returned hidden states.
     x = (p["tok_emb"][ids[0]] + p["pos_emb"][ids[1]]
          + p["type_emb"][ids[2]]).reshape(N, d)
-
-    def heads(t):
-        return t.reshape(B, n, H, dh).transpose(0, 2, 1, 3)
 
     def scratch():
         # Every buffer a layer writes, fresh per layer in a pass that keeps a
@@ -348,7 +346,7 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
     for i in range(cfg.layers):
         if i == 0 or want_cache:
             a, b2_, qkv, s, h, ctx, proj, wqkv, bqkv, ln1, ln2, *gelu = scratch()
-            q4, k4, v4 = (heads(qkv[:, j * d:(j + 1) * d]) for j in range(3))
+            q4, k4, v4 = qkv.reshape(B, n, 3, H, dh).transpose(2, 0, 3, 1, 4)
         (w2, b2, w1, b1, g2, c2, wo, bo, wq, bq, wk, bk, wv, bv, g1,
          c1) = map(p.__getitem__, _layer_names(i))
         a, ln1c = _layernorm(x, g1, c1, a, ln1)
@@ -357,7 +355,7 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
                 np.concatenate((bq, bk, bv), out=bqkv), qkv)
         attn = _masked_softmax_inplace(
             np.matmul(q4, k4.transpose(0, 1, 3, 2), out=s), scale, bias)
-        np.matmul(attn, v4, out=heads(ctx))
+        np.matmul(attn, v4, out=ctx.reshape(B, n, H, dh).transpose(0, 2, 1, 3))
         x += _affine(ctx, wo, bo, proj)
         b2_, ln2c = _layernorm(x, g2, c2, b2_, ln2)
         gact, gc = _gelu(_affine(b2_, w1, b1, h), gelu)
