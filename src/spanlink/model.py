@@ -316,8 +316,7 @@ def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
     N = B * n
     scale = 1.0 / math.sqrt(dh)
     dt = p["tok_emb"].dtype
-    bias = _buf(ws, "bias", (B, 1, n, n), dt)
-    bias.fill(0)
+    bias = np.zeros((B, 1, n, n), dt)
     for b, q in enumerate(queries):
         e, k = q.esi_len, len(q)
         bias[b, 0, :e, :e] = _prompt_bias(np.concatenate(
