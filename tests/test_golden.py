@@ -8,7 +8,8 @@ label and classify with several, and the work each level does (queries,
 tokens scored, spans decoded) on the A5 held-out set and on a depth-4
 oracle fixture.  The score matrices themselves are hashed too: the A5
 model's over the held-out walk, one query per call and in padded chunks,
-and a seeded, untrained float64 model's.  Those bits depend on numpy and the BLAS, so the file also
+and a seeded, untrained float64 model's; and so are the loss and gradients
+of one padded ``backward_batch`` pass with each of those two models.  Those bits depend on numpy and the BLAS, so the file also
 records the environment it was made in; a different environment fails with
 the difference and the command that regenerates the file::
 
@@ -49,10 +50,12 @@ from spanlink.engine import (
     build_model,
     extract,
     iter_extract,
+    teacher_forced_queries,
     train,
 )
 from spanlink.model import (
     EncoderConfig,
+    backward_batch,
     init_encoder,
     init_head,
     save_checkpoint,
@@ -157,14 +160,34 @@ def _walk_z(scorer, texts, schema, vocab, cfg) -> list:
     return recorder.matrices
 
 
-def _untrained_float64_z(texts, schema, vocab, cfg) -> str:
-    """Z hash of a seeded, untrained float64 model's batched walk."""
+def _untrained_float64(vocab, cfg):
+    """A seeded, untrained float64 encoder and head of ``cfg``'s dims."""
     rng = np.random.default_rng(5)
     enc = init_encoder(EncoderConfig(
         vocab_size=len(vocab), d=cfg.d, layers=cfg.layers, heads=cfg.heads,
         max_positions=cfg.max_prompt_len + cfg.max_len, dtype="float64"), rng)
-    head = init_head(cfg.d, cfg.d_head, rng, dtype="float64")
-    return _z_sha(_walk_z(ModelScorer(enc, head), texts, schema, vocab, cfg))
+    return enc, init_head(cfg.d, cfg.d_head, rng, dtype="float64")
+
+
+def _grads_sha(enc, head, examples, schema, vocab, cfg) -> str:
+    """sha256 of ``backward_batch``'s loss and of every gradient, encoder
+    then head, each dict by sorted name, from one padded pass over the
+    teacher-forced queries of the first three examples (of unequal lengths),
+    their targets built by ``GoldScorer.target_for``."""
+    queries, targets = [], []
+    for ex in examples[:3]:
+        scorer = GoldScorer(ex.paths)
+        for query, _ in teacher_forced_queries(ex, schema, vocab, cfg):
+            queries.append(query)
+            targets.append(scorer.target_for(query))
+    assert len({len(q) for q in queries}) >= 3
+    loss, enc_grads, head_grads = backward_batch(enc, head, queries, targets)
+    h = hashlib.sha256(repr(loss).encode())
+    for grads in (enc_grads, head_grads):
+        for name in sorted(grads):
+            h.update(name.encode())
+            h.update(grads[name].tobytes())
+    return h.hexdigest()
 
 
 def _untrained_cls_extract(root: Path) -> bytes:
@@ -196,7 +219,8 @@ def outputs() -> dict:
     ``extract --data`` over 300 held-out sentences (several walk windows),
     and ``dump-queries`` over the training corpus, at the A5 prompt budget
     and at one that splits queries.  Then the untrained three-mode
-    ``extract --data`` and the per-level work counts."""
+    ``extract --data``, the score and gradient hashes, and the per-level
+    work counts."""
     examples = ner_re_corpus(seed=0, n=50)
     schema = parse_schema(NER_RE_SCHEMA)
     vocab = ner_re_vocab(examples)
@@ -247,8 +271,15 @@ def outputs() -> dict:
             "a5_heldout_z_b1_sha256": _z_sha(_walk_z(
                 lambda query: model(query), texts, schema, vocab, cfg)),
             "a5_heldout_z_many_sha256": _z_sha(recorder.matrices),
-            "untrained_float64_z_sha256": _untrained_float64_z(
-                texts, schema, vocab, cfg),
+            "untrained_float64_z_sha256": _z_sha(_walk_z(
+                ModelScorer(*_untrained_float64(vocab, cfg)), texts, schema,
+                vocab, cfg)),
+            # gradient bits: the A5 model in float32, and the untrained
+            # float64 model
+            "a5_grads_sha256": _grads_sha(
+                result.enc, result.head, examples, schema, vocab, cfg),
+            "untrained_float64_grads_sha256": _grads_sha(
+                *_untrained_float64(vocab, cfg), examples, schema, vocab, cfg),
             "a5_heldout_work": _work_counts(
                 zip(recorder.queries, recorder.matrices), cfg.delta_ie),
             "oracle_depth4_work": _oracle_work(),
