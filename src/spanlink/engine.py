@@ -355,11 +355,14 @@ class GoldScorer:
     def target_for(self, query: Query) -> np.ndarray:
         return build_target(query, self._gold_by_group(query))
 
+    def positive_cells(self, query: Query) -> np.ndarray:
+        """The query's positive cells as ``_target_cells`` gives them."""
+        return _target_cells(query, self._gold_by_group(query))
+
     def __call__(self, query: Query) -> np.ndarray:
-        rows, cols = _target_cells(query, self._gold_by_group(query))
         z = fill_scored(query, np.full((len(query),) * 2, -np.inf, np.float32),
                         ORACLE_LO)
-        z[rows, cols] = ORACLE_HI
+        z.reshape(-1)[self.positive_cells(query)] = ORACLE_HI
         return z
 
 
@@ -430,9 +433,10 @@ def gold_prefixes(gold_paths, schema: Schema, level: int):
 
 def teacher_forced_queries(example: Example, schema: Schema, vocab: Vocab,
                            cfg: Config, last_level: int | None = None):
-    """(query, target) pairs for levels 1 .. ``last_level`` (default: the
+    """(query, cells) pairs for levels 1 .. ``last_level`` (default: the
     schema depth) of one example, with gold prefixes standing in for
-    predictions."""
+    predictions; ``cells`` are the query's positive cells as
+    ``GoldScorer.positive_cells`` gives them."""
     toks = tokenize(vocab, example.text)
     scorer = GoldScorer(example.paths)
     pairs = []
@@ -442,7 +446,7 @@ def teacher_forced_queries(example: Example, schema: Schema, vocab: Vocab,
             break
         plan = plan_level(schema, prefixes, toks, example.text, vocab, cfg)
         for query in plan.queries:
-            pairs.append((query, scorer.target_for(query)))
+            pairs.append((query, scorer.positive_cells(query)))
     return pairs
 
 
@@ -493,11 +497,10 @@ def train(examples, schema: Schema, vocab: Vocab, cfg: Config,
     log: list[dict] = []
     step = 0
     # Gold prefixes make an example's pairs the same in every epoch, so each
-    # is built once, its target kept as the positive cells' flat indices.
+    # is built once.
     chunks = []
     for ex in examples:
-        pairs = [(q, np.flatnonzero(t).astype(np.int32))
-                 for q, t in teacher_forced_queries(ex, schema, vocab, cfg)]
+        pairs = teacher_forced_queries(ex, schema, vocab, cfg)
         chunks.append([tuple(zip(*pairs[lo:hi])) for lo, hi in
                        _chunk_bounds([len(q) for q, _ in pairs], BATCH_TOKENS)])
 

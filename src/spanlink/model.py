@@ -168,6 +168,13 @@ def _affine(x, w, b, out):
     return np.add(np.matmul(x, w, out=out), b, out=out)
 
 
+def _affine_bwd(x, dy, w, gw, gb):
+    """Backward of ``_affine``: adds into ``gw`` and ``gb``, returns dL/dx."""
+    gw += x.T @ dy
+    gb += np.add.reduce(dy, axis=0)
+    return dy @ w.T
+
+
 def _row_mean(x):
     # x.mean(axis=-1, keepdims=True) bit for bit, minus np.mean's slow wrapper
     return np.divide(np.add.reduce(x, axis=-1, keepdims=True), x.shape[-1])
@@ -186,13 +193,13 @@ def _layernorm(x, g, b, out, xhat=None):
     return out, (xhat, inv, g)
 
 
-def _layernorm_bwd(dy, cache):
+def _layernorm_bwd(dy, cache, gg, gb):
+    """Backward of ``_layernorm``: adds into ``gg`` and ``gb``, returns dL/dx."""
     xhat, inv, g = cache
-    dg = np.add.reduce(dy * xhat, axis=0)
-    db = np.add.reduce(dy, axis=0)
+    gg += np.add.reduce(dy * xhat, axis=0)
+    gb += np.add.reduce(dy, axis=0)
     dxhat = dy * g
-    dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
-    return dx, dg, db
+    return inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
 
 
 # Eigen's and XLA's float32 erf(u) = u P(u^2) / Q(u^2), highest power first,
@@ -395,56 +402,38 @@ def _encode_bwd(enc: EncoderParams, cache, d_hidden,
     d, H = cfg.d, cfg.heads
     dh = d // H
 
-    dx, dg, db = _layernorm_bwd(d_hidden, cache["lnf"])
-    grads["lnf.g"] += dg
-    grads["lnf.b"] += db
-
+    dx = _layernorm_bwd(d_hidden, cache["lnf"], grads["lnf.g"], grads["lnf.b"])
     for i in reversed(range(cfg.layers)):
         c = cache["layers"][i]
+        w2, _, w1, _, _, _, wo, _, wq, _, wk, _, wv, *_ = map(
+            p.__getitem__, _layer_names(i))
+        (gw2, gb2, gw1, gb1, gg2, gc2, gwo, gbo, gwq, gbq, gwk, gbk, gwv, gbv,
+         gg1, gc1) = map(grads.__getitem__, _layer_names(i))
         # FFN block: x2 = x1 + gelu(ln2(x1) @ w1 + b1) @ w2 + b2
-        d_f = dx
-        grads[f"l{i}.ffn.w2"] += c["gact"].T @ d_f
-        grads[f"l{i}.ffn.b2"] += np.add.reduce(d_f, axis=0)
-        d_gact = d_f @ p[f"l{i}.ffn.w2"].T
-        d_h = _gelu_bwd(d_gact, c["gelu"])
-        grads[f"l{i}.ffn.w1"] += c["b2"].T @ d_h
-        grads[f"l{i}.ffn.b1"] += np.add.reduce(d_h, axis=0)
-        d_b2 = d_h @ p[f"l{i}.ffn.w1"].T
-        d_x1, dg, db = _layernorm_bwd(d_b2, c["ln2"])
-        grads[f"l{i}.ln2.g"] += dg
-        grads[f"l{i}.ln2.b"] += db
-        d_x1 = d_x1 + dx  # residual
+        d_h = _gelu_bwd(_affine_bwd(c["gact"], dx, w2, gw2, gb2), c["gelu"])
+        d_x1 = _layernorm_bwd(_affine_bwd(c["b2"], d_h, w1, gw1, gb1),
+                              c["ln2"], gg2, gc2) + dx  # residual
 
         # Attention block: x1 = x + (attn @ v) @ wo + bo
-        d_o = d_x1
-        grads[f"l{i}.attn.wo"] += c["ctx"].T @ d_o
-        grads[f"l{i}.attn.bo"] += np.add.reduce(d_o, axis=0)
-        d_ctx = (d_o @ p[f"l{i}.attn.wo"].T).reshape(B, n, H, dh) \
-            .transpose(0, 2, 1, 3)
+        d_ctx = _affine_bwd(c["ctx"], d_x1, wo, gwo, gbo).reshape(
+            B, n, H, dh).transpose(0, 2, 1, 3)
         attn = c["attn"]
         d_attn = d_ctx @ c["v4"].transpose(0, 1, 3, 2)
-        d_v4 = attn.transpose(0, 1, 3, 2) @ d_ctx
         d_s = attn * (d_attn - np.add.reduce(d_attn * attn, -1, keepdims=True))
-        d_s = d_s * cache["scale"]
-        d_q4 = d_s @ c["k4"]
-        d_k4 = d_s.transpose(0, 1, 3, 2) @ c["q4"]
-        d_q = d_q4.transpose(0, 2, 1, 3).reshape(B * n, d)
-        d_k = d_k4.transpose(0, 2, 1, 3).reshape(B * n, d)
-        d_v = d_v4.transpose(0, 2, 1, 3).reshape(B * n, d)
+        d_s *= cache["scale"]
+        # dq, dk and dv in the forward's qkv layout, [B, n, 3, H, dh]
+        d_qkv = np.empty((B, n, 3, H, dh), d_s.dtype)
+        d_q4, d_k4, d_v4 = d_qkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(d_s, c["k4"], out=d_q4)
+        np.matmul(d_s.transpose(0, 1, 3, 2), c["q4"], out=d_k4)
+        np.matmul(attn.transpose(0, 1, 3, 2), d_ctx, out=d_v4)
+        d_q, d_k, d_v = d_qkv.reshape(B * n, 3, d).transpose(1, 0, 2)
         a = c["a"]
-        grads[f"l{i}.attn.wq"] += a.T @ d_q
-        grads[f"l{i}.attn.bq"] += np.add.reduce(d_q, axis=0)
-        grads[f"l{i}.attn.wk"] += a.T @ d_k
-        grads[f"l{i}.attn.bk"] += np.add.reduce(d_k, axis=0)
-        grads[f"l{i}.attn.wv"] += a.T @ d_v
-        grads[f"l{i}.attn.bv"] += np.add.reduce(d_v, axis=0)
-        d_a = (d_q @ p[f"l{i}.attn.wq"].T
-               + d_k @ p[f"l{i}.attn.wk"].T
-               + d_v @ p[f"l{i}.attn.wv"].T)
-        d_x, dg, db = _layernorm_bwd(d_a, c["ln1"])
-        grads[f"l{i}.ln1.g"] += dg
-        grads[f"l{i}.ln1.b"] += db
-        dx = d_x1 + d_x
+        # explicit terms, not sum(): it starts from 0, and 0 + -0.0 is +0.0
+        d_a = (_affine_bwd(a, d_q, wq, gwq, gbq)
+               + _affine_bwd(a, d_k, wk, gwk, gbk)
+               + _affine_bwd(a, d_v, wv, gwv, gbv))
+        dx = d_x1 + _layernorm_bwd(d_a, c["ln1"], gg1, gc1)
 
     # Each table's rows are scattered into a zeroed table and then added, so
     # gradients summed over several calls associate as a sum of per-call
@@ -540,19 +529,15 @@ def _score_bwd(head: ScoringHead, cache, d_z, grads: dict[str, np.ndarray]):
     ``score_batch(..., want_cache=True)`` returned.  Adds each parameter's
     gradient into ``grads`` and returns dL/dhidden as [B * n_max, d_in]."""
     B, n = d_z.shape[:2]
-    rq = cache["rq"].reshape(B, n, -1)
-    rk = cache["rk"].reshape(B, n, -1)
-    d_rq = (d_z @ rk).reshape(B * n, -1)
-    d_rk = (d_z.transpose(0, 2, 1) @ rq).reshape(B * n, -1)
+    # d_rq and d_rk as one [2, B * n, d'], rotated back as score_batch rotates
+    d_r = np.empty((2, B, n, head.d_head), d_z.dtype)
+    np.matmul(d_z, cache["rk"].reshape(B, n, -1), out=d_r[0])
+    np.matmul(d_z.transpose(0, 2, 1), cache["rq"].reshape(B, n, -1), out=d_r[1])
     # the transposed rotation is the rotation by minus the angle
-    d_q, d_k = (apply_rope(g, cache["cos"], -cache["sin"]) for g in (d_rq, d_rk))
-    hidden = cache["hidden"]
-
-    grads["q.w"] += hidden.T @ d_q
-    grads["q.b"] += np.add.reduce(d_q, axis=0)
-    grads["k.w"] += hidden.T @ d_k
-    grads["k.b"] += np.add.reduce(d_k, axis=0)
-    return d_q @ head.params["q.w"].T + d_k @ head.params["k.w"].T
+    d_q, d_k = apply_rope(d_r.reshape(2, B * n, -1), cache["cos"], -cache["sin"])
+    hidden, hp = cache["hidden"], head.params
+    return (_affine_bwd(hidden, d_q, hp["q.w"], grads["q.w"], grads["q.b"])
+            + _affine_bwd(hidden, d_k, hp["k.w"], grads["k.w"], grads["k.b"]))
 
 
 # ------------------------------------------------------------ circle loss ---
@@ -596,16 +581,9 @@ _LAYER_BWD_ORDER = (
 
 
 def zero_grads(enc: EncoderParams, head: ScoringHead):
-    """Zeroed ``(encoder_grads, head_grads)`` mirroring the parameter dicts,
-    keyed in the order backprop reaches each tensor: the final norm, the
-    layers from last to first, the embeddings, then the head."""
-    cfg = enc.config
-    names = ["lnf.g", "lnf.b"]
-    for i in reversed(range(cfg.layers)):
-        names += _layer_names(i)
-    names += ["tok_emb", "pos_emb", "type_emb"]
-    return ({name: np.zeros_like(enc.params[name]) for name in names},
-            {name: np.zeros_like(t) for name, t in head.params.items()})
+    """Zeroed ``(encoder_grads, head_grads)`` mirroring the parameter dicts."""
+    return tuple({name: np.zeros_like(t) for name, t in params.items()}
+                 for params in (enc.params, head.params))
 
 
 def backward_batch(enc: EncoderParams, head: ScoringHead, queries, targets,

@@ -251,8 +251,9 @@ def fill_scored(query: Query, dst: np.ndarray, src) -> np.ndarray:
     return dst
 
 
-def _target_cells(query: Query, gold_by_group) -> tuple[list[int], list[int]]:
-    """Rows and columns of the positive cells of one query's supervision.
+def _target_cells(query: Query, gold_by_group) -> np.ndarray:
+    """Int32 flat indices ``row * n + col`` of the positive cells of one
+    query's supervision; a cell may repeat.
 
     ``gold_by_group`` maps group index -> elements extending that group's
     prefix at this level.  Extraction golds give three cells each
@@ -263,8 +264,8 @@ def _target_cells(query: Query, gold_by_group) -> tuple[list[int], list[int]]:
     # reversed: a label listed twice keeps its first marker
     marker_of = {(m.group, m.label): m.pos for m in reversed(query.type_markers)}
     starts, ends = query.text.start_index, query.text.end_index
-    rows: list[int] = []
-    cols: list[int] = []
+    n = len(query)
+    cells: list[int] = []
     for g, elements in gold_by_group.items():
         if not 0 <= g < len(query.groups):
             raise UnknownGoldType(f"group index {g} out of range")
@@ -287,19 +288,17 @@ def _target_cells(query: Query, gold_by_group) -> tuple[list[int], list[int]]:
                 j = query.text_start + ends[el.end]
                 if i > j:
                     raise MisalignedSpan(f"gold span ({el.start}, {el.end}) is inverted")
-                rows += (i, i, k)
-                cols += (j, k, j)
+                cells += (i * n + j, i * n + k, k * n + j)
             else:
-                rows += (query.clst_pos, k)
-                cols += (k, query.clst_pos)
-    return rows, cols
+                cells += (query.clst_pos * n + k, k * n + query.clst_pos)
+    return np.array(cells, np.int32)
 
 
 def build_target(query: Query, gold_by_group) -> np.ndarray:
     """Supervision matrix for one query: 1 at the cells ``_target_cells``
     names for ``gold_by_group``, 0 elsewhere."""
     target = np.zeros((len(query),) * 2, dtype=np.uint8)
-    target[_target_cells(query, gold_by_group)] = 1
+    target.reshape(-1)[_target_cells(query, gold_by_group)] = 1
     return target
 
 

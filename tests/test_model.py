@@ -624,10 +624,16 @@ def test_flat_buffers_hold_the_params_as_views():
     assert (head.params["k.w"] == 7.0).all()
     assert (enc.params["l0.ln1.g"] == -1.0).all()
     assert (head.params["q.b"] == -1.0).all()
+    # zero_grads mirrors the parameter dicts key for key
+    assert [list(g) for g in zero_grads(enc, head)] == [list(enc.params),
+                                                         list(head.params)]
     # gradient dicts keyed in another order get a buffer layout that lines
     # up with the parameters' element for element
-    enc_grads, head_grads = zero_grads(enc, head)
+    enc_grads, head_grads = ({name: np.zeros_like(params[name])
+                              for name in reversed(params)}
+                             for params in (enc.params, head.params))
     assert list(enc_grads) != list(enc.params)
+    assert list(head_grads) != list(head.params)
     grad_buffers = flat_buffers(enc_grads, head_grads)
     for key, buf in buffers.items():
         buf[:] = np.arange(buf.size)
