@@ -73,12 +73,15 @@ def _parse_element(obj, text: str, where: str) -> PathElement:
     if not isinstance(obj, dict) or "type" not in obj or not isinstance(obj["type"], str):
         raise MalformedRecord(f"{where}: element must be an object with a 'type'")
     label = obj["type"]
-    if obj.get("label_only"):
+    label_only = obj.get("label_only", False)
+    if type(label_only) is not bool:
+        raise MalformedRecord(f"{where}: label_only must be true or false")
+    if label_only:
         return PathElement(label=label)
     if "start" not in obj or "end" not in obj:
         raise MalformedRecord(f"{where}: element needs start/end or label_only")
     start, end = obj["start"], obj["end"]
-    if not (isinstance(start, int) and isinstance(end, int)):
+    if type(start) is not int or type(end) is not int:  # bool is an int
         raise MalformedRecord(f"{where}: start/end must be integers")
     if not (0 <= start < end <= len(text)):
         raise OffsetOutOfRange(f"{where}: span ({start}, {end}) outside text of length {len(text)}")
@@ -135,6 +138,8 @@ def parse_record(line: str, lineno: int = 0) -> Example:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"{where}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedRecord(f"{where}: nested too deeply to read") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
         raise MalformedRecord(f"{where}: record must be an object with a 'text' string")
     mode = obj.get("mode", "ie")

@@ -126,11 +126,9 @@ class Query:
     group_of: np.ndarray           # [n] owning group index, -1 outside groups
     typeseg_of: np.ndarray         # [n] type-marker index, -1 outside type segs
     type_markers: tuple[TypeMarker, ...]
-    esi_len: int                   # tokens before [Text]
-    text_mark_pos: int
+    esi_len: int                   # tokens before [Text]; [Text] is there
     text_start: int                # query index of first real text token
-    text_len: int
-    sep_pos: int
+    text_len: int                  # [SEP] follows the text
     clst_pos: int | None           # None on extraction levels
     position_ids: np.ndarray       # [n] int64
     token_type_ids: np.ndarray     # [n] int64
@@ -202,12 +200,10 @@ def make_query(groups, text: TokenizedText, source: str, mode: LevelMode,
             f"prompt needs {esi_len} tokens but the budget is {max_prompt_len}"
         )
 
-    text_mark_pos = len(ids)
     put([vocab.id(TEXT_MARK)], K_TEXTMARK, max_prompt_len)
     text_start = len(ids)
     text_len = len(text.token_ids)
     put(text.token_ids, K_TEXT, max_prompt_len + 1)
-    sep_pos = len(ids)
     put([vocab.id(SEP)], K_SEP, max_prompt_len + text_len + 1)
 
     n = len(ids)
@@ -222,8 +218,7 @@ def make_query(groups, text: TokenizedText, source: str, mode: LevelMode,
         group_of=np.asarray(group_of, dtype=np.int64),
         typeseg_of=np.asarray(typeseg_of, dtype=np.int64),
         type_markers=tuple(markers), esi_len=esi_len,
-        text_mark_pos=text_mark_pos, text_start=text_start,
-        text_len=text_len, sep_pos=sep_pos, clst_pos=clst_pos,
+        text_start=text_start, text_len=text_len, clst_pos=clst_pos,
         position_ids=np.asarray(pos, dtype=np.int64),
         token_type_ids=_TOKEN_TYPE_IDS[kinds_arr],
         marker_pos=np.array([m.pos for m in markers], dtype=np.int64),

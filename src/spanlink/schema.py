@@ -107,14 +107,17 @@ def parse_schema(text: str, level_modes=()) -> Schema:
         # object_pairs_hook keeps duplicates visible instead of silently
         # collapsing them, and preserves sibling order.
         raw = json.loads(text, object_pairs_hook=_Pairs)
+        if not isinstance(raw, _Pairs):
+            raise MalformedSchema("schema top level must be an object of labels")
+        if not raw:
+            raise MalformedSchema("schema defines no labels")
+        root = SchemaNode(label="", children=_build(raw, []))
+        depth = _depth_of(root)
     except json.JSONDecodeError as exc:
         raise MalformedSchema(f"schema is not valid JSON: {exc}") from None
-    if not isinstance(raw, _Pairs):
-        raise MalformedSchema("schema top level must be an object of labels")
-    if not raw:
-        raise MalformedSchema("schema defines no labels")
-    root = SchemaNode(label="", children=_build(raw, []))
-    depth = _depth_of(root)
+    except RecursionError:
+        # before validate_schema can apply max_depth
+        raise MalformedSchema("schema nests too deeply to read") from None
     modes = tuple(LevelMode(mode) for mode in level_modes[:depth])
     return Schema(root=root, depth=depth,
                   modes=modes + (LevelMode.EXTRACT,) * (depth - len(modes)))

@@ -62,9 +62,6 @@ class Vocab:
         """Id of ``token``, falling back to [UNK]."""
         return self.token_to_id.get(token, self.token_to_id[UNK])
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
 
 @dataclass
 class TokenizedText:

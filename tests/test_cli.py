@@ -715,6 +715,30 @@ def test_non_utf8_bytes_in_any_input_file_are_a_one_line_error(
     assert err[0].startswith(f"{_FILE_CODES[name]}: ")
 
 
+@pytest.mark.parametrize("name, blob, code", [
+    pytest.param("schema.json", '{"a": ' * 5000 + "null" + "}" * 5000,
+                 "schema.MalformedSchema", id="schema-5000"),
+    # deep enough to overflow the depth count, shallow enough for JSON
+    pytest.param("schema.json", '{"a": ' * 400 + "null" + "}" * 400,
+                 "schema.MalformedSchema", id="schema-400"),
+    pytest.param("data.jsonl",
+                 '{"text": "a", "paths": ' + "[" * 5000 + "]" * 5000 + "}\n",
+                 "data_metrics.MalformedRecord", id="data-5000"),
+])
+@pytest.mark.parametrize("command", ["train", "dump-queries"])
+def test_deeply_nested_json_is_a_one_line_error(readable_workspace, capsys,
+                                                name, blob, code, command):
+    """Nesting past the interpreter's recursion limit ends in the reader's
+    error, not a RecursionError traceback."""
+    root, _ = readable_workspace
+    (root / name).write_text(blob, encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", str(root / "run.cfg")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"{code}: ")
+
+
 def test_diverging_training_stops_at_the_step(workspace, tmp_path, capsys):
     """A learning rate that blows the parameters up ends training at the
     first step with a non-finite gradient norm, before AdamW writes NaN

@@ -86,6 +86,31 @@ def test_parse_record_rejects_bad_offsets():
         parse_record(line)
 
 
+@pytest.mark.parametrize("offsets", [(False, True), (True, 2), (0, True)])
+def test_parse_record_rejects_boolean_offsets(offsets):
+    """JSON booleans are Python ints; as offsets they would load as a span."""
+    start, end = offsets
+    line = json.dumps({"text": "rab",
+                       "paths": [[{"type": "t", "start": start, "end": end}]]})
+    with pytest.raises(MalformedRecord, match="start/end must be integers"):
+        parse_record(line)
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None, [], {}])
+def test_parse_record_rejects_a_label_only_that_is_not_a_boolean(flag):
+    """A truthy non-boolean would drop the span, a falsy one keep it."""
+    line = json.dumps({"text": "rab", "paths": [[
+        {"type": "t", "start": 0, "end": 1, "label_only": flag}]]})
+    with pytest.raises(MalformedRecord, match="label_only must be true or false"):
+        parse_record(line)
+
+
+def test_parse_record_reads_an_explicit_label_only_false_as_a_span():
+    line = json.dumps({"text": "rab", "paths": [[
+        {"type": "t", "start": 0, "end": 1, "label_only": False}]]})
+    assert parse_record(line).paths[0][0] == el("t", 0, 1, "r")
+
+
 def test_load_dataset_validates_schema_and_alignment(tmp_path):
     schema = parse_schema(NER_RE)
     good = Example(text="rivera works",

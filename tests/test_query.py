@@ -96,7 +96,7 @@ def test_token_layout_single_group():
                      K_TEXTMARK, K_TEXT, K_TEXT, K_SEP]
     assert [m.pos for m in q.type_markers] == [2, 4]
     assert q.esi_len == 6
-    assert q.text_start == 7 and q.text_len == 2 and q.sep_pos == 9
+    assert q.text_start == 7 and q.text_len == 2
     assert q.clst_pos is None
 
 
@@ -128,9 +128,9 @@ def test_position_ids_hand_case():
     assert list(pos[8:10]) == [5, 6]
     assert list(pos[10:12]) == [5, 6]
     # text block: [Text]=budget, tokens follow, [SEP] last
-    assert pos[q.text_mark_pos] == 20
+    assert pos[q.esi_len] == 20
     assert list(pos[q.text_start:q.text_start + 2]) == [21, 22]
-    assert pos[q.sep_pos] == 23
+    assert pos[q.text_start + q.text_len] == 23
 
 
 def _expected_positions(q):
@@ -194,7 +194,7 @@ def test_clst_sits_before_text_block():
     vocab = flat_vocab()
     q = _mk(vocab, "ant bee", [PrefixGroup((), ("alpha",))],
             mode=LevelMode.CLASSIFY_MULTI)
-    assert q.clst_pos == q.text_mark_pos - 1
+    assert q.clst_pos == q.esi_len - 1
     assert q.position_ids[q.clst_pos] == q.max_prompt_len - 1
     assert q.token_type_ids[q.clst_pos] == 3
 
