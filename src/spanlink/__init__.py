@@ -19,8 +19,8 @@ Quick taste::
                           '"organization": null}')
     vocab = build_vocab(["rivera works for acme ."], schema_labels=["person",
                         "organization", "work for ( organization )"])
-    # score with an oracle built from gold paths, a stored grid file, or a
-    # trained model; see spanlink.engine for the three scorers.
+    # score with an oracle built from gold paths or a trained model; see
+    # spanlink.engine for the scorers.
 """
 
 from .config import Config, format_config, load_config, parse_config
@@ -30,14 +30,11 @@ from .decoding import (
     TypedSpan,
     decode_cls_multi,
     decode_ie,
-    load_grids,
     oracle_decode,
-    save_grids,
 )
 from .engine import (
     ExtractionPath,
     GoldScorer,
-    GridScorer,
     ModelScorer,
     evaluate,
     extract,
@@ -75,16 +72,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClsDecision", "Config", "EncoderConfig", "EncoderParams", "Example",
-    "ExtractionPath", "GoldScorer", "GridScorer", "LevelMode", "MetricReport",
+    "ExtractionPath", "GoldScorer", "LevelMode", "MetricReport",
     "ModelScorer", "PathElement", "PrefixGroup", "Query", "Schema",
     "SchemaNode", "ScoringHead", "SpanlinkError", "TypedSpan", "Vocab",
     "backward", "backward_batch", "build_target", "build_vocab",
     "children_of", "circle_loss", "corpus_f1", "decode_cls_multi",
     "decode_ie", "encode", "evaluate", "extract", "format_config",
     "init_encoder", "init_head", "iter_extract", "load_checkpoint",
-    "load_config", "load_dataset", "load_grids", "load_vocab", "make_query",
+    "load_config", "load_dataset", "load_vocab", "make_query",
     "metric_for_task", "oracle_decode", "parse_config", "parse_schema",
     "render_query", "render_schema", "save_checkpoint", "save_dataset",
-    "save_grids", "save_vocab", "score", "split_query", "strict_match_f1",
+    "save_vocab", "score", "split_query", "strict_match_f1",
     "tokenize", "train", "validate_schema",
 ]

@@ -5,7 +5,7 @@ Subcommands::
     spanlink train        --config cfg [--set key=value ...]
     spanlink eval         --config cfg [--task NAME] [--out FILE]
     spanlink extract      --config cfg [--text STR | --data FILE]
-                          [--oracle-scores FILE] [--dump-queries] [--out FILE]
+                          [--dump-queries] [--out FILE]
     spanlink dump-queries --config cfg [--level N]
 
 Exit status is 0 iff no error occurred; failures print a module-qualified
@@ -33,12 +33,10 @@ from .config import (
     validate_config,
 )
 from .data import load_dataset
-from .decoding import load_grids
 from .errors import (
     BadConfig,
     CheckpointMismatch,
     MalformedSchema,
-    OracleExhausted,
     SpanlinkError,
     read_text,
 )
@@ -152,16 +150,11 @@ def cmd_eval(cfg: Config, tasks, out_path: str | None) -> int:
     return 0
 
 
-def cmd_extract(cfg: Config, texts, oracle_path: str | None,
-                dump_queries: bool, out_path: str | None) -> int:
+def cmd_extract(cfg: Config, texts, dump_queries: bool,
+                out_path: str | None) -> int:
     schema = _load_schema(cfg)
     vocab = _obtain_vocab(cfg, schema, build=False)
-    grid = None
-    if oracle_path:
-        scorer = grid = engine.GridScorer(load_grids(oracle_path))
-    else:
-        enc, head = _load_model(cfg)
-        scorer = engine.ModelScorer(enc, head)
+    scorer = engine.ModelScorer(*_load_model(cfg))
     if dump_queries:
         recorder = engine.RecordingScorer(scorer)
         scorer = recorder
@@ -176,13 +169,7 @@ def cmd_extract(cfg: Config, texts, oracle_path: str | None,
                 for query in recorder.queries:
                     print(render_query(query))
                 recorder.queries.clear()
-                recorder.matrices.clear()
             sink.write(engine.extraction_record(text, paths) + "\n")
-        # A grid replays only for the texts it was recorded for.
-        if grid is not None and grid.cursor < len(grid.matrices):
-            raise OracleExhausted(
-                f"read {grid.cursor} of {len(grid.matrices)} matrices; the "
-                f"grid file was recorded for other texts")
     finally:
         if out_path:
             sink.close()
@@ -241,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--text", default=None, help="a single input text")
     p_ext.add_argument("--data", default=None,
                        help="dataset file; only the text fields are used")
-    p_ext.add_argument("--oracle-scores", default=None, metavar="FILE",
-                       help="bypass the model with stored score matrices")
     p_ext.add_argument("--dump-queries", action="store_true",
                        help="print every query as it is scored")
     p_ext.add_argument("--out", default=None,
@@ -282,8 +267,8 @@ def main(argv=None) -> int:
             tasks = args.task or eval_task_list(cfg)
             return cmd_eval(cfg, tasks, args.out)
         if args.command == "extract":
-            return cmd_extract(cfg, _collect_texts(args), args.oracle_scores,
-                               args.dump_queries, args.out)
+            return cmd_extract(cfg, _collect_texts(args), args.dump_queries,
+                               args.out)
         return cmd_dump_queries(cfg, args.level)
     except SpanlinkError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)

@@ -25,13 +25,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadGridFile, NoCandidates, NonFiniteScores, ShapeMismatch
+from .errors import NoCandidates, NonFiniteScores
 from .query import Query, fill_scored
 from .schema import LevelMode
 
@@ -190,43 +188,3 @@ def decode_cls_multi(z: np.ndarray, query: Query,
         decisions.append(ClsDecision(group=g, labels=labels))
     return tuple(decisions)
 
-
-# ------------------------------------------------------------ grid files ---
-
-def save_grids(path, matrices) -> None:
-    """Write score matrices as consecutive binary grids: little-endian u32
-    rows, u32 cols, then row-major float32 cells (-inf is representable)."""
-    with open(path, "wb") as fh:
-        for m in matrices:
-            arr = np.ascontiguousarray(m, dtype="<f4")
-            if arr.ndim != 2:
-                raise ShapeMismatch("grid file stores 2-D matrices only")
-            fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-            fh.write(arr.tobytes())
-
-
-def load_grids(path) -> list[np.ndarray]:
-    """Read every matrix of a grid file.  A header whose body would run past
-    the end of the file raises ``BadGridFile`` before anything is read, and
-    NaN in any cell ``NonFiniteScores`` (-inf marks the cells not scored)."""
-    matrices = []
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        while True:
-            head = fh.read(8)
-            if not head:
-                break
-            if len(head) != 8:
-                raise BadGridFile("truncated grid header")
-            rows, cols = struct.unpack("<II", head)
-            nbytes = 4 * rows * cols
-            if nbytes > size - fh.tell():
-                raise BadGridFile(f"truncated grid body ({rows}x{cols})")
-            buf = fh.read(nbytes)
-            if len(buf) != nbytes:
-                raise BadGridFile(f"truncated grid body ({rows}x{cols})")
-            z = np.frombuffer(buf, dtype="<f4").reshape(rows, cols)
-            if np.isnan(z).any():
-                raise NonFiniteScores(f"grid {len(matrices)} holds NaN")
-            matrices.append(z.astype(np.float32))
-    return matrices

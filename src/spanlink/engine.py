@@ -9,10 +9,12 @@ prefixes that have no continuation, whose all-zero target teaches the model
 to stop.
 
 Scores come from a pluggable scorer, ``scorer(query) -> Z``: the trained
-model, a stream of stored matrices, or an oracle synthesized from gold
-annotations.  Keeping that seam explicit is what lets the decoder be tested
-for exact closure (plant annotations, score with the oracle, extract, and
-require the planted set back).  ``iter_extract`` walks a window of texts level
+model, or an oracle synthesized from gold annotations.  Keeping that seam
+explicit is what lets the decoder be tested on planted annotations: score
+with the oracle, extract, and get the planted set back.  The round trip is
+exact unless some type has a head at i and a tail at j while another span of
+the same query covers exactly i..j; the shared head-tail cell then decodes
+that type's span (i, j) too.  ``iter_extract`` walks a window of texts level
 by level and scores each level's queries in chunks sorted by length, through
 the scorer's ``many(queries) -> [Z, ...]`` when it has one (the model scores a
 chunk as one padded batch), or one ``scorer(query)`` call per query.
@@ -29,7 +31,7 @@ import numpy as np
 from .config import Config, eval_task_list
 from .data import Example, PathElement, path_key
 from .decoding import argmax_label, cls_products, decode_cls_multi, decode_ie
-from .errors import Diverged, NonFiniteScores, OracleExhausted
+from .errors import Diverged, NonFiniteScores
 from .metrics import MetricReport, corpus_f1, metric_for_task
 from .model import (
     EncoderConfig,
@@ -264,9 +266,7 @@ def iter_extract(texts, schema: Schema, vocab: Vocab, scorer, cfg: Config):
     together, and each level's queries across the window are scored in
     order of length, in chunks: one ``scorer.many(queries)`` call per chunk
     when the scorer has that method, else one ``scorer(query)`` call per
-    query.  Either way the scorer sees the queries in the same walk order,
-    which stateful scorers such as ``GridScorer`` rely on: stored matrices
-    replay only for the same texts walked the same way.
+    query.  Either way the scorer sees the queries in the same walk order.
     """
     many = _many_of(scorer)
     window, used = [], 0
@@ -322,7 +322,8 @@ class GoldScorer:
 
     The supervision's positive cells become +10, every other scored cell
     -10 and the rest -inf, so extraction at threshold 0 and classification
-    at threshold 0.9 both reproduce the annotations exactly.
+    at threshold 0.9 both reproduce the annotations, exactly where the
+    three-cell rule can represent them (see the module docstring).
     """
 
     def __init__(self, gold_paths):
@@ -366,37 +367,13 @@ class GoldScorer:
         return z
 
 
-class GridScorer:
-    """Feed stored score matrices in engine query order."""
-
-    def __init__(self, matrices):
-        self.matrices = list(matrices)
-        self.cursor = 0
-
-    def __call__(self, query: Query) -> np.ndarray:
-        if self.cursor >= len(self.matrices):
-            raise OracleExhausted(
-                f"needed a {len(query)}x{len(query)} matrix for query "
-                f"{self.cursor} but the file holds only {len(self.matrices)}"
-            )
-        z = self.matrices[self.cursor]
-        self.cursor += 1
-        if z.shape != (len(query), len(query)):
-            raise OracleExhausted(
-                f"stored matrix {self.cursor - 1} is {z.shape}, query needs "
-                f"({len(query)}, {len(query)})"
-            )
-        return z
-
-
 class RecordingScorer:
-    """Wrap another scorer, keeping every (query, matrix) pair in the order
-    the wrapped scorer was asked."""
+    """Wrap another scorer, keeping every query in the order the wrapped
+    scorer was asked."""
 
     def __init__(self, inner):
         self.inner = inner
         self.queries: list[Query] = []
-        self.matrices: list[np.ndarray] = []
 
     def __call__(self, query: Query) -> np.ndarray:
         return self.many([query])[0]
@@ -406,7 +383,6 @@ class RecordingScorer:
         model still scores padded batches), else one call per query."""
         zs = _many_of(self.inner)(queries)
         self.queries += queries
-        self.matrices += zs
         return zs
 
 

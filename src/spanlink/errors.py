@@ -114,22 +114,14 @@ class NoCandidates(DecodeError):
     """Single-label classification needs at least one candidate label."""
 
 
-class BadGridFile(DecodeError):
-    """Score-matrix grid file is truncated or malformed."""
-
-
 class NonFiniteScores(DecodeError):
-    """NaN in a score cell a decoder reads, or anywhere in a grid file."""
+    """NaN in a score cell a decoder reads."""
 
 
 # ---------------------------------------------------------------- engine ---
 
 class EngineError(SpanlinkError):
     module = "engine"
-
-
-class OracleExhausted(EngineError):
-    """Stored score matrices ran out (or mismatched) during extraction."""
 
 
 class Diverged(EngineError):

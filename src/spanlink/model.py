@@ -52,6 +52,16 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _CHECKPOINT_MAGIC = b"SPLKCKPT"
 
+# The two dtypes a model runs in, by the name a config gives them.
+_DTYPES = {"float32": np.float32, "float64": np.float64}
+
+
+def _np_dtype(name) -> type:
+    if name not in _DTYPES:
+        raise DimensionMismatch(f"dtype must be 'float32' or 'float64', "
+                                f"got {name!r}")
+    return _DTYPES[name]
+
 
 @dataclass
 class EncoderConfig:
@@ -65,7 +75,7 @@ class EncoderConfig:
 
     @property
     def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
+        return _np_dtype(self.dtype)
 
     def validate(self) -> None:
         if min(self.vocab_size, self.d, self.heads, self.max_positions,
@@ -75,6 +85,7 @@ class EncoderConfig:
             raise DimensionMismatch(f"d={self.d} not divisible by heads={self.heads}")
         if self.layers < 0:
             raise DimensionMismatch("layers must be >= 0")
+        _np_dtype(self.dtype)
 
 
 @dataclass
@@ -146,9 +157,8 @@ def init_head(d_in: int, d_head: int, rng: np.random.Generator,
               dtype: str = "float32") -> ScoringHead:
     if d_head % 2 != 0 or d_head < 2:
         raise OddHeadDim(f"scoring head dimension must be even, got {d_head}")
-    dt = np.float64 if dtype == "float64" else np.float32
-    return ScoringHead(d_in=d_in, d_head=d_head,
-                       params=_init_params(head_shapes(d_in, d_head), rng, dt))
+    return ScoringHead(d_in=d_in, d_head=d_head, params=_init_params(
+        head_shapes(d_in, d_head), rng, _np_dtype(dtype)))
 
 
 # ----------------------------------------------------------- primitives ---
@@ -297,7 +307,12 @@ def _prompt_bias(layout: bytes, dtype) -> np.ndarray:
 
 @functools.cache
 def _layer_names(i: int) -> tuple[str, ...]:
-    return tuple(f"l{i}.{leaf}" for leaf in _LAYER_BWD_ORDER)
+    # Layer i's tensors in the order ``_encode_bwd`` reaches them; it and
+    # ``encode_batch`` unpack the tuple by position.
+    return tuple(f"l{i}.{leaf}" for leaf in (
+        "ffn.w2", "ffn.b2", "ffn.w1", "ffn.b1", "ln2.g", "ln2.b",
+        "attn.wo", "attn.bo", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
+        "attn.wv", "attn.bv", "ln1.g", "ln1.b"))
 
 
 def encode_batch(enc: EncoderParams, queries, want_cache: bool = False,
@@ -571,14 +586,6 @@ def circle_loss_grad(z: np.ndarray, target: np.ndarray, valid: np.ndarray):
 
 
 # ------------------------------------------------------------- backward ---
-
-# Per-layer encoder tensors in the order ``_encode_bwd`` reaches them.
-_LAYER_BWD_ORDER = (
-    "ffn.w2", "ffn.b2", "ffn.w1", "ffn.b1", "ln2.g", "ln2.b",
-    "attn.wo", "attn.bo", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
-    "attn.wv", "attn.bv", "ln1.g", "ln1.b",
-)
-
 
 def zero_grads(enc: EncoderParams, head: ScoringHead):
     """Zeroed ``(encoder_grads, head_grads)`` mirroring the parameter dicts."""

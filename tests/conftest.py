@@ -10,6 +10,7 @@ import numpy as np
 
 from spanlink.config import Config
 from spanlink.data import Example, PathElement
+from spanlink.engine import RecordingScorer
 from spanlink.query import (
     K_CLS,
     K_CLST,
@@ -60,6 +61,23 @@ COQE_SCHEMA_DICT = {
     "object": {"aspect": dict(_POLARITY), **_POLARITY},
 }
 POLARITY_LABELS = sorted(_POLARITY)
+
+
+class ZRecorder(RecordingScorer):
+    """A ``RecordingScorer`` that also keeps every score matrix, in the
+    order the queries were scored, so ``zip(queries, matrices)`` pairs each
+    query with its Z.  Scoring goes through ``RecordingScorer.many``, so the
+    wrapped scorer is called as the walk calls it: one ``many`` call per
+    chunk when it has that method, else one call per query."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.matrices = []
+
+    def many(self, queries):
+        zs = super().many(queries)
+        self.matrices += zs
+        return zs
 
 
 def flat_vocab():

@@ -1,7 +1,9 @@
 """End-to-end command line tests: train, eval, extract, dump-queries."""
 
+import argparse
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -14,10 +16,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import COQE_SCHEMA_DICT, NER_RE_SCHEMA, ner_re_corpus, plant_quintuples
 from spanlink import engine
-from spanlink.cli import main
+from spanlink.cli import build_parser, main
 from spanlink.config import level_mode_list, load_config, validate_config
 from spanlink.data import Example, load_dataset, save_dataset
-from spanlink.decoding import save_grids
 from spanlink.errors import MalformedSchema, read_text
 from spanlink.model import load_checkpoint, save_checkpoint
 from spanlink.query import render_query
@@ -140,85 +141,6 @@ def test_extract_data_matches_per_text_extract(trained, workspace, tmp_path):
         ex.text, engine.extract(schema, vocab, scorer, ex.text, cfg))
         for ex in examples]
     assert out.read_text(encoding="utf-8").splitlines() == expected
-
-
-def test_extract_oracle_scores_replays_stored_matrices(trained, tmp_path):
-    root = trained
-    text = "tanaka works for initech ."
-    gold = (
-        (engine.PathElement("person", 0, 6, "tanaka"),
-         engine.PathElement("work for ( organization )", 17, 24, "initech")),
-        (engine.PathElement("organization", 17, 24, "initech"),),
-    )
-    cfg = load_config(root / "run.cfg")
-    validate_config(cfg)
-    schema = parse_schema(NER_RE_SCHEMA)
-    vocab = load_vocab(root / "model.ckpt.vocab")
-    recorder = engine.RecordingScorer(engine.GoldScorer(gold))
-    expected = engine.extract(schema, vocab, recorder, text, cfg)
-    grids = tmp_path / "scores.grid"
-    save_grids(grids, recorder.matrices)
-    out = tmp_path / "out.jsonl"
-    rc = main(["extract", "--config", str(root / "run.cfg"),
-               "--text", text, "--oracle-scores", str(grids),
-               "--out", str(out)])
-    assert rc == 0
-    assert out.read_text(encoding="utf-8").strip() == \
-        engine.extraction_record(text, expected)
-
-
-def test_extract_oracle_scores_with_nan_is_a_one_line_error(trained, tmp_path,
-                                                           capsys):
-    root = trained
-    text = "tanaka works for initech ."
-    gold = ((engine.PathElement("organization", 17, 24, "initech"),),)
-    cfg = load_config(root / "run.cfg")
-    validate_config(cfg)
-    recorder = engine.RecordingScorer(engine.GoldScorer(gold))
-    engine.extract(parse_schema(NER_RE_SCHEMA),
-                   load_vocab(root / "model.ckpt.vocab"), recorder, text, cfg)
-    recorder.matrices[0][0, 0] = float("nan")
-    grids = tmp_path / "scores.grid"
-    save_grids(grids, recorder.matrices)
-    capsys.readouterr()
-    rc = main(["extract", "--config", str(root / "run.cfg"),
-               "--text", text, "--oracle-scores", str(grids),
-               "--out", str(tmp_path / "out.jsonl")])
-    assert rc == 1
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    assert err.startswith("decode.NonFiniteScores: ")
-
-
-def test_extract_oracle_scores_left_unread_is_a_one_line_error(
-        trained, tmp_path, capsys):
-    """A grid replays only for the texts it was recorded for: matrices of
-    "tanaka works for initech ." saved three times over fit the shapes of
-    "rivera works for globex .", but the walk reads two of the six, and the
-    unread remainder is an error, not a silent success."""
-    root = trained
-    text = "tanaka works for initech ."
-    gold = (
-        (engine.PathElement("person", 0, 6, "tanaka"),
-         engine.PathElement("work for ( organization )", 17, 24, "initech")),
-        (engine.PathElement("organization", 17, 24, "initech"),),
-    )
-    cfg = load_config(root / "run.cfg")
-    validate_config(cfg)
-    recorder = engine.RecordingScorer(engine.GoldScorer(gold))
-    engine.extract(parse_schema(NER_RE_SCHEMA),
-                   load_vocab(root / "model.ckpt.vocab"), recorder, text, cfg)
-    assert len(recorder.matrices) == 2
-    grids = tmp_path / "scores.grid"
-    save_grids(grids, recorder.matrices * 3)
-    capsys.readouterr()
-    rc = main(["extract", "--config", str(root / "run.cfg"),
-               "--text", "rivera works for globex .", "--oracle-scores",
-               str(grids), "--out", str(tmp_path / "out.jsonl")])
-    assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("engine.OracleExhausted: read 2 of 6 matrices")
 
 
 def test_extract_dump_queries_prints_renderings(trained, tmp_path, capsys):
@@ -374,9 +296,9 @@ def test_dump_queries_level_outside_the_schema_is_rejected(workspace, capsys,
 
 def test_extract_dump_queries_keeps_no_matrices(trained, tmp_path,
                                                 monkeypatch, capsys):
-    """``extract --dump-queries`` over a data file drops each text's score
-    matrices once its queries are printed, so memory does not grow with
-    the file."""
+    """``extract --dump-queries`` over a data file keeps no score matrices
+    and drops each window's queries once they are printed, so memory does
+    not grow with the file."""
     root = trained
     recorders = []
 
@@ -393,7 +315,6 @@ def test_extract_dump_queries_keeps_no_matrices(trained, tmp_path,
     [recorder] = recorders
     assert len(printed) >= len((root / "data.jsonl").read_text().splitlines())
     assert recorder.queries == []
-    assert recorder.matrices == []
 
 
 def test_dump_queries_level_plans_only_the_levels_it_prints(workspace,
@@ -416,14 +337,13 @@ def test_dump_queries_level_plans_only_the_levels_it_prints(workspace,
         assert len(calls) == per_record * len(examples)
 
 
-@pytest.mark.parametrize("scorer", ["model", "grid"])
+@pytest.mark.parametrize("scorer", ["model"])
 def test_extract_data_stops_at_an_overflowing_text(trained, tmp_path, capsys,
                                                    scorer):
     """More than ``WINDOW_TOKENS`` text tokens of short records, then a text
     longer than ``max_len``: ``extract --data`` exits 1 with one
     ``query.TextOverflow`` line, having written the records of every window
-    that finished first.  Grid scores are recorded by the same walk over the
-    records before the long text."""
+    that finished first."""
     root = trained
     cfg = load_config(root / "run.cfg")
     validate_config(cfg)
@@ -434,17 +354,7 @@ def test_extract_data_stops_at_an_overflowing_text(trained, tmp_path, capsys,
     data = tmp_path / "overflow.jsonl"
     save_dataset([*before, long, *ner_re_corpus(seed=10, n=5)], data)
     argv = ["extract", "--config", str(root / "run.cfg"), "--data", str(data)]
-    if scorer == "model":
-        model = engine.ModelScorer(*load_checkpoint(root / "model.ckpt"))
-        scorer_for = lambda ex: model
-    else:
-        scorer_for = lambda ex: engine.GoldScorer(ex.paths)
-        gold = {ex.text: scorer_for(ex) for ex in before}
-        recorder = engine.RecordingScorer(lambda q: gold[q.source](q))
-        list(engine.iter_extract([ex.text for ex in before], schema, vocab,
-                                 recorder, cfg))
-        save_grids(tmp_path / "scores.grid", recorder.matrices)
-        argv += ["--oracle-scores", str(tmp_path / "scores.grid")]
+    model = engine.ModelScorer(*load_checkpoint(root / "model.ckpt"))
     # the long text's window starts where the text tokens so far, in runs
     # of at most WINDOW_TOKENS, last filled a window
     start = used = 0
@@ -455,7 +365,7 @@ def test_extract_data_stops_at_an_overflowing_text(trained, tmp_path, capsys,
         used += n
     assert 0 < start < len(before)
     want = [engine.extraction_record(ex.text, engine.extract(
-        schema, vocab, scorer_for(ex), ex.text, cfg)) for ex in before[:start]]
+        schema, vocab, model, ex.text, cfg)) for ex in before[:start]]
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -604,6 +514,21 @@ def test_checkpoint_without_the_final_norm_fails_eval(trained, tmp_path,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("model.CheckpointMismatch: ")
+
+
+def test_readme_cli_flags_are_options_of_the_parser():
+    """Every ``--flag`` that README's "Quickstart (CLI)" section names is an
+    option of some subcommand, so the docs cannot keep a removed flag."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Quickstart (CLI)\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for p in subparsers.choices.values() for a in p._actions
+               for opt in a.option_strings}
+    assert "--dump-queries" in named
+    assert sorted(named - options) == []
 
 
 def test_extract_needs_text_or_data(trained, capsys):

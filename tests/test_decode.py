@@ -10,18 +10,14 @@ from spanlink.decoding import (
     cls_products,
     decode_cls_multi,
     decode_ie,
-    load_grids,
     oracle_decode,
-    save_grids,
 )
 from spanlink import decoding as decoding_module
 from spanlink.decoding import _sigmoid
 from spanlink.engine import LevelPlan, merge_results
 from spanlink.errors import (
-    BadGridFile,
     NoCandidates,
     NonFiniteScores,
-    SpanlinkError,
 )
 from spanlink.query import PrefixGroup
 from spanlink.schema import LevelMode
@@ -408,73 +404,8 @@ def test_decode_ie_rejects_nan():
     assert info.value.code == "decode.NonFiniteScores"
 
 
-# ------------------------------------------------------------- grid files
-
-def test_grids_round_trip(tmp_path):
-    rng = np.random.default_rng(26)
-    mats = [rng.standard_normal((3, 5)).astype(np.float32),
-            np.full((2, 2), -np.inf, dtype=np.float32),
-            rng.standard_normal((7, 7)).astype(np.float32)]
-    path = tmp_path / "scores.grid"
-    save_grids(path, mats)
-    loaded = load_grids(path)
-    assert len(loaded) == 3
-    for a, b in zip(mats, loaded):
-        assert a.shape == b.shape
-        assert np.array_equal(a, b)
-
-
-def test_grids_reject_truncation(tmp_path):
-    path = tmp_path / "scores.grid"
-    save_grids(path, [np.zeros((4, 4), dtype=np.float32)])
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-3])
-    with pytest.raises(BadGridFile):
-        load_grids(path)
-    path.write_bytes(blob[:4])
-    with pytest.raises(BadGridFile):
-        load_grids(path)
-
-
-def test_grids_reject_header_larger_than_file(tmp_path):
-    # a forged 100000 x 100000 header would ask for a 40 GB read
-    path = tmp_path / "scores.grid"
-    save_grids(path, [np.zeros((2, 2), dtype=np.float32)])
-    path.write_bytes(path.read_bytes()
-                     + np.array([100000, 100000], dtype="<u4").tobytes()
-                     + b"\x00" * 64)
-    with pytest.raises(BadGridFile):
-        load_grids(path)
-
-
-def _grid_blob(tmp_path):
-    path = tmp_path / "clean.grid"
-    save_grids(path, [np.arange(6, dtype=np.float32).reshape(2, 3),
-                      np.full((3, 3), -np.inf, dtype=np.float32)])
-    return path.read_bytes()
-
-
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(edits=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 255)),
-                      max_size=6),
-       cut=st.integers(0, 80), tail=st.binary(max_size=16))
-def test_mutated_grid_file_loads_or_raises_spanlink_error(tmp_path, edits,
-                                                          cut, tail):
-    blob = bytearray(_grid_blob(tmp_path))
-    for pos, byte in edits:
-        if pos < len(blob):
-            blob[pos] = byte
-    path = tmp_path / "mutated.grid"
-    path.write_bytes(bytes(blob[:cut]) + tail)
-    try:
-        load_grids(path)
-    except SpanlinkError:
-        pass
-
-
 def test_decode_ie_reads_only_scored_cells():
-    """Grid files may hold finite scores outside the scoring mask: in the
+    """A scorer may return finite scores outside the scoring mask: in the
     lower triangle, in the prompt, between markers.  decode_ie must read only
     the scored cells, so it still equals the brute-force oracle."""
     rng = np.random.default_rng(73)
@@ -522,15 +453,3 @@ def test_nan_counts_only_in_scored_cells(mode):
             with pytest.raises(NonFiniteScores):
                 decoder(z2, q)
 
-
-def test_grid_file_with_nan_in_any_cell_is_rejected(tmp_path):
-    """A grid file stores whole matrices with -inf in the cells not scored,
-    so NaN anywhere in one is a corrupt file."""
-    z = np.full((3, 3), -np.inf, dtype=np.float32)
-    z[0, 1] = 2.0
-    path = tmp_path / "scores.grid"
-    bad = z.copy()
-    bad[2, 0] = np.nan
-    save_grids(path, [z, bad])
-    with pytest.raises(NonFiniteScores, match="grid 1 holds NaN"):
-        load_grids(path)

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     NER_RE_SCHEMA,
     TYPE_LABELS,
+    ZRecorder,
     flat_vocab,
     ner_re_corpus,
     ner_re_vocab,
@@ -24,7 +25,6 @@ from spanlink.engine import (
     ORACLE_LO,
     WINDOW_TOKENS,
     GoldScorer,
-    GridScorer,
     LevelPlan,
     ModelScorer,
     RecordingScorer,
@@ -39,12 +39,12 @@ from spanlink.engine import (
     teacher_forced_queries,
     train,
 )
-from spanlink.errors import Diverged, OracleExhausted
+from spanlink.errors import Diverged
 from spanlink.model import backward_batch
 from spanlink.optim import AdamW
 from spanlink.query import PrefixGroup
 from spanlink.schema import LevelMode, parse_schema
-from spanlink.tokenizer import tokenize
+from spanlink.tokenizer import build_vocab, tokenize
 
 
 def _el(label, start, end, text):
@@ -184,36 +184,13 @@ def test_gold_scorer_matrix_values():
     assert (z[valid] == 10.0).sum() == 3
 
 
-def test_grid_scorer_consumes_in_order_then_raises():
-    vocab = flat_vocab()
-    text = "cat dog elk"
-    query = query_of(vocab, text, [PrefixGroup((), ("alpha",))])
-    n = len(query)
-    first = np.full((n, n), -1.0, dtype=np.float32)
-    second = np.full((n, n), -2.0, dtype=np.float32)
-    scorer = GridScorer([first, second])
-    assert scorer(query) is first
-    assert scorer(query) is second
-    with pytest.raises(OracleExhausted):
-        scorer(query)
-
-
-def test_grid_scorer_rejects_wrong_shape():
-    vocab = flat_vocab()
-    text = "cat dog"
-    query = query_of(vocab, text, [PrefixGroup((), ("alpha",))])
-    scorer = GridScorer([np.zeros((3, 3), dtype=np.float32)])
-    with pytest.raises(OracleExhausted):
-        scorer(query)
-
-
 def test_recording_scorer_captures_pairs_in_order(corpus):
     _, vocab, schema = corpus
     text = "okafor works for wayne ."
     person = _el("person", 0, 6, text)
     rel = PathElement(WORK_FOR, 17, 22, text[17:22])
     gold = ((person, rel), (_el("organization", 17, 22, text),))
-    rec = RecordingScorer(GoldScorer(gold))
+    rec = ZRecorder(GoldScorer(gold))
     extract(schema, vocab, rec, text, small_train_config())
     assert len(rec.queries) == len(rec.matrices) == 2  # one per level
     assert rec.queries[0].groups[0].path == ()
@@ -405,9 +382,8 @@ def test_iter_extract_batched_equals_per_text_with_trained_model(a5_scorer):
 def test_every_scorer_sees_the_walk_order(corpus):
     """A plain function and a scorer with ``many`` are walked the same way:
     equal paths, and the same queries in the same order, level by level
-    across the window rather than text by text.  Matrices recorded through
-    ``iter_extract`` replay through ``GridScorer`` over the same texts to
-    the same paths."""
+    across the window rather than text by text, and a ``RecordingScorer``
+    over either keeps those queries in that order."""
     examples, vocab, schema = corpus
     chosen = examples[:6]
     texts = [ex.text for ex in chosen]
@@ -439,9 +415,6 @@ def test_every_scorer_sees_the_walk_order(corpus):
     assert list(iter_extract(texts, schema, vocab, recorder, cfg)) == got
     assert [(q.source, q.groups) for q in recorder.queries] == \
         [(q.source, q.groups) for q in many_seen]
-    grid = GridScorer(recorder.matrices)
-    assert list(iter_extract(texts, schema, vocab, grid, cfg)) == got
-    assert grid.cursor == len(recorder.matrices)
 
 
 def test_iter_extract_gold_closure(corpus):
@@ -450,6 +423,24 @@ def test_iter_extract_gold_closure(corpus):
         paths = next(iter_extract([ex.text], schema, vocab,
                                   GoldScorer(ex.paths), small_train_config()))
         assert {p.elements for p in paths} == {tuple(p) for p in ex.paths}
+
+
+def test_gold_round_trip_adds_the_span_a_shared_head_tail_cell_links():
+    """The three-cell rule's blind spot, pinned: every type of a query shares
+    its head-tail cells, so a type with a head at i and a tail at j decodes
+    (i, j) whenever another span of the query covers exactly i..j.  epsilon
+    heads at 4 ("dog") and tails at 11 ("bee"), and beta's "dog bee" lights
+    z[4, 11], so extraction adds epsilon (4, 11) to the gold.  This is the
+    paper's rule, not a decoder fault."""
+    text = "dog dog bee lark"
+    vocab = build_vocab([text], ["epsilon", "beta"])
+    gold = {(_el("epsilon", 4, 7, text),), (_el("epsilon", 8, 11, text),),
+            (_el("beta", 4, 11, text),)}
+    paths = extract(parse_schema('{"epsilon": null, "beta": null}'), vocab,
+                    GoldScorer(gold), text, small_train_config())
+    assert len(paths) == 4
+    assert {p.elements for p in paths} == \
+        gold | {(_el("epsilon", 4, 11, text),)}
 
 
 def test_evaluate_gold_scorer_is_perfect(corpus):

@@ -35,6 +35,7 @@ from conftest import (
     NER_RE_SCHEMA,
     POLARITY_LABELS,
     WORDS,
+    ZRecorder,
     ner_re_corpus,
     ner_re_vocab,
     plant_quintuples,
@@ -46,7 +47,6 @@ from spanlink.decoding import decode_ie
 from spanlink.engine import (
     GoldScorer,
     ModelScorer,
-    RecordingScorer,
     build_model,
     extract,
     iter_extract,
@@ -135,7 +135,7 @@ def _oracle_work() -> list[dict]:
     scored = []
     for _ in range(40):
         text, paths = plant_quintuples(rng)
-        recorder = RecordingScorer(GoldScorer(paths))
+        recorder = ZRecorder(GoldScorer(paths))
         extract(schema, vocab, recorder, text, cfg)
         scored += zip(recorder.queries, recorder.matrices)
     return _work_counts(scored, cfg.delta_ie)
@@ -154,7 +154,7 @@ def _walk_z(scorer, texts, schema, vocab, cfg) -> list:
     """Every score matrix ``scorer`` returns while ``iter_extract`` walks
     ``texts``: one ``many`` call per length-sorted chunk when it has that
     method, else one call per query."""
-    recorder = RecordingScorer(scorer)
+    recorder = ZRecorder(scorer)
     for _ in iter_extract(texts, schema, vocab, recorder, cfg):
         pass
     return recorder.matrices
@@ -246,7 +246,7 @@ def outputs() -> dict:
         table = _run(["eval", *common, "--out", str(root / "report.jsonl")])
         texts = [ex.text for ex in ner_re_corpus(seed=9, n=300)]
         model = ModelScorer(result.enc, result.head)
-        recorder = RecordingScorer(model)
+        recorder = ZRecorder(model)
         for _ in iter_extract(texts, schema, vocab, recorder, cfg):
             pass
         return {

@@ -105,6 +105,20 @@ def test_encode_validates_dimensions():
         encode(init_encoder(tiny_pos, rng), q)
 
 
+@pytest.mark.parametrize("name", ["float16", "f64", ""])
+def test_unknown_dtype_name_is_rejected(name):
+    """Only "float32" and "float64" name a dtype a model runs in; any other
+    name raises rather than quietly running in float32."""
+    cfg = EncoderConfig(vocab_size=5, d=8, layers=1, heads=2,
+                        max_positions=16, dtype=name)
+    with pytest.raises(DimensionMismatch, match="dtype must be"):
+        cfg.validate()
+    with pytest.raises(DimensionMismatch, match="dtype must be"):
+        init_encoder(cfg, np.random.default_rng(0))
+    with pytest.raises(DimensionMismatch, match="dtype must be"):
+        init_head(8, 8, np.random.default_rng(0), dtype=name)
+
+
 # A range error names its array in the plural ("token ids run -1 .. 9, ...").
 _OUT_OF_TABLE = (r"^(token ids|position ids|token type ids|prompt kinds|kinds after "
                  r"the prompt) run -?\d+ \.\. -?\d+, outside a table of \d+ \.\. \d+$")
